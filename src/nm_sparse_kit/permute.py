@@ -62,10 +62,59 @@ def count_eligible_blocks(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int
     return int((nonzeros <= n).sum()), int(nonzeros.size)
 
 
-def _eligible_under(masked_w: np.ndarray, perm: np.ndarray, n: int, m: int) -> int:
-    rows = masked_w.shape[0]
-    nonzeros = (masked_w[perm] != 0).reshape(rows // m, m, -1).sum(axis=1)
-    return int((nonzeros <= n).sum())
+# Upper bound on the words of one bit plane, (candidates, rows / m, words),
+# so the scorer's scratch stays a few MB however many candidates are streamed.
+_PLANE_WORDS = 1 << 15
+
+
+def _pack_nonzeros(masked_w: np.ndarray) -> np.ndarray:
+    """Non-zero pattern packed along columns: (rows, ceil(cols / 64)) uint64.
+
+    Padding bits are zero, so they never count as a non-zero.
+    """
+    rows, cols = masked_w.shape
+    nonzero = np.zeros((rows, -(-cols // 64) * 64), dtype=bool)
+    nonzero[:, :cols] = masked_w != 0
+    return np.packbits(nonzero, axis=1).view(np.uint64)
+
+
+def _ineligible_counts(packed: np.ndarray, perms: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Ineligible column blocks of the packed pattern under each row permutation.
+
+    ``perms`` is (candidates, rows). Over the m rows of every block, bit plane
+    i holds the columns with at least i + 1 non-zeros so far, so plane n
+    marks the columns with more than n: its popcount is the count.
+    """
+    rows, words = packed.shape
+    planes = np.zeros((n + 1, len(perms), rows // m, words), dtype=np.uint64)
+    for j in range(m):
+        x = np.take(packed, perms[:, j::m], axis=0)
+        for i in range(n, 0, -1):
+            planes[i] |= planes[i - 1] & x
+        planes[0] |= x
+    over = np.unpackbits(planes[n].view(np.uint8).reshape(len(perms), -1), axis=1)
+    return over.sum(axis=1, dtype=np.int64)
+
+
+def _best_permutation(masked_w: np.ndarray, candidates, n: int, m: int) -> tuple[np.ndarray, int]:
+    """(first candidate with the most eligible blocks, its eligible count).
+
+    Candidates are drawn from the iterable in batches sized to
+    ``_PLANE_WORDS`` and scored together. Within a batch argmin keeps the
+    earliest; a later batch wins only with strictly fewer ineligible blocks.
+    """
+    packed = _pack_nonzeros(masked_w)
+    rows, words = packed.shape
+    batch = max(1, _PLANE_WORDS // (rows // m * words))
+    stream = iter(candidates)
+    best, best_over = None, None
+    while chunk := list(itertools.islice(stream, batch)):
+        perms = np.array(chunk, dtype=np.int64)
+        over = _ineligible_counts(packed, perms, n, m)
+        i = int(np.argmin(over))
+        if best_over is None or over[i] < best_over:
+            best, best_over = perms[i].copy(), int(over[i])
+    return best, (rows // m) * masked_w.shape[1] - best_over
 
 
 def search_permutation(
@@ -81,6 +130,13 @@ def search_permutation(
     permutation never has fewer eligible blocks than ``current``. Passing
     k >= rows! (rows small enough to enumerate) switches the candidates to an
     exhaustive sweep of all permutations, which makes the search exact.
+
+    The candidates are k successive ``rng.permutation`` draws from ``seed``.
+    They are scored together rather than one by one: the non-zero pattern is
+    packed 64 columns to a uint64 word, each candidate's rows are gathered
+    from it, and per column block N + 1 "at least i non-zeros" bit planes
+    are updated over the block's M rows; the popcount of the last plane is
+    the number of ineligible blocks.
     """
     if k < 1:
         raise ValueError(f"candidate count k must be >= 1, got {k}")
@@ -92,25 +148,17 @@ def search_permutation(
     current = identity_permutation(rows) if current is None else check_permutation(current, rows)
 
     start = time.perf_counter()
-    best = current
-    best_count = _eligible_under(masked_w, current, n, m)
-    total = (rows // m) * cols
-
     exhaustive = rows <= BRUTE_FORCE_MAX_ROWS and k >= factorial(rows)
     if exhaustive:
-        candidates = (np.array(p, dtype=np.int64) for p in itertools.permutations(range(rows)))
+        candidates = itertools.permutations(range(rows))
         evaluated = factorial(rows) + 1
     else:
         rng = np.random.default_rng(seed)
         candidates = (rng.permutation(rows) for _ in range(k))
         evaluated = k + 1
-
-    for cand in candidates:
-        count = _eligible_under(masked_w, cand, n, m)
-        if count > best_count:
-            best, best_count = cand, count
+    best, best_count = _best_permutation(masked_w, itertools.chain([current], candidates), n, m)
     elapsed = time.perf_counter() - start
-    return SearchReport(best, best_count, total, evaluated, elapsed)
+    return SearchReport(best, best_count, (rows // m) * cols, evaluated, elapsed)
 
 
 def brute_force_best_permutation(masked_w: np.ndarray, pattern: NmPattern) -> SearchReport:
@@ -130,12 +178,6 @@ def brute_force_best_permutation(masked_w: np.ndarray, pattern: NmPattern) -> Se
         raise ValueError(f"matrix rows ({rows}) must be divisible by block size {m}")
 
     start = time.perf_counter()
-    best = None
-    best_count = -1
-    for cand in itertools.permutations(range(rows)):
-        count = _eligible_under(masked_w, np.array(cand, dtype=np.int64), n, m)
-        if count > best_count:
-            best, best_count = np.array(cand, dtype=np.int64), count
+    best, best_count = _best_permutation(masked_w, itertools.permutations(range(rows)), n, m)
     elapsed = time.perf_counter() - start
-    total = (rows // m) * cols
-    return SearchReport(best, best_count, total, factorial(rows), elapsed)
+    return SearchReport(best, best_count, (rows // m) * cols, factorial(rows), elapsed)

@@ -231,6 +231,58 @@ def exhaustive_tile_optimum(abs_tile, n):
     return float(scores[feasible].max())
 
 
+def greedy_tile_oracle(abs_tile, n):
+    """Per-tile descending-magnitude insertion, one entry at a time."""
+    m = abs_tile.shape[0]
+    order = np.argsort(-abs_tile, axis=None, kind="stable")
+    row_used = np.zeros(m, dtype=np.int64)
+    col_used = np.zeros(m, dtype=np.int64)
+    tile = np.zeros((m, m), dtype=np.uint8)
+    for flat in order:
+        r, c = divmod(int(flat), m)
+        if row_used[r] < n and col_used[c] < n:
+            tile[r, c] = 1
+            row_used[r] += 1
+            col_used[c] += 1
+    return tile
+
+
+def greedy_mask_oracle(w, pattern):
+    n, m = pattern.n, pattern.m
+    rows, cols = w.shape
+    bits = np.zeros((rows, cols), dtype=np.uint8)
+    for i in range(0, rows, m):
+        for j in range(0, cols, m):
+            bits[i : i + m, j : j + m] = greedy_tile_oracle(np.abs(w[i : i + m, j : j + m]), n)
+    return bits
+
+
+GREEDY_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "1:8", "2:8", "4:8", "1:16")]
+
+
+def greedy_cases(pattern, seed):
+    """Weights for one pattern: random, tie-heavy, zero and constant blocks,
+    extreme magnitudes, on square and non-square tile grids."""
+    m = pattern.m
+    rng = np.random.default_rng(seed)
+    for grid in [(1, 1), (2, 3), (3, 1), (1, 4)]:
+        shape = (grid[0] * m, grid[1] * m)
+        w = rng.normal(size=shape)
+        yield w
+        yield np.round(w)  # many ties, including zeros
+        yield rng.integers(-2, 3, size=shape).astype(np.float64)
+        zeros = w.copy()
+        zeros[:m, :m] = 0.0
+        yield zeros
+        const = w.copy()
+        const[-m:, -m:] = -0.75
+        yield const
+        yield np.full(shape, 3.0)
+        yield w * 1e300
+        yield w * 1e-300
+        yield np.where(rng.random(shape) < 0.5, 1e300, 1e-300) * np.sign(w)
+
+
 class TestTransposableMask:
     def test_identity_support_is_kept(self):
         w = np.eye(4)
@@ -267,6 +319,26 @@ class TestTransposableMask:
             mask = transposable_mask(rng.normal(size=(8, 8)), P24, method)
             assert validate_mask(mask) == []
             assert block_ones_ok(mask.bits, P24, "both")
+
+    @pytest.mark.parametrize("pattern", GREEDY_PATTERNS, ids=str)
+    def test_greedy_matches_per_tile_oracle(self, pattern):
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n):
+            mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+            assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
+
+    @pytest.mark.parametrize("pattern", GREEDY_PATTERNS, ids=str)
+    def test_greedy_is_maximal(self, pattern):
+        # every 0 of a tile lies on a row or column that already holds n ones,
+        # which is what gives the greedy its 1/2 bound
+        n, m = pattern.n, pattern.m
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 1):
+            bits = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX).bits
+            rows, cols = bits.shape
+            tiles = bits.reshape(rows // m, m, cols // m, m).swapaxes(1, 2)
+            row_full = tiles.sum(axis=3, keepdims=True) == n
+            col_full = tiles.sum(axis=2, keepdims=True) == n
+            assert ((tiles == 1) | row_full | col_full).all()
+            assert validate_mask(Mask(MaskDirection.TRANSPOSABLE, bits, pattern)) == []
 
     def test_exact_guarded_above_m4(self):
         with pytest.raises(ValueError, match="feasible"):
@@ -355,6 +427,19 @@ class TestMaskConstruction:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Mask(MaskDirection.FORWARD, np.full((2, 4), 2), P24)
+
+    @pytest.mark.parametrize("bad", [-1, 0.5, np.nan])
+    def test_rejects_other_non_binary_values(self, bad):
+        bits = np.zeros((2, 4))
+        bits[1, 2] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            Mask(MaskDirection.FORWARD, bits, P24)
+
+    def test_accepts_bool_bits(self):
+        bits = np.array([[True, False, True, False]])
+        mask = Mask(MaskDirection.FORWARD, bits, P24)
+        assert mask.bits.dtype == np.uint8
+        assert mask.bits.tolist() == [[1, 0, 1, 0]]
 
     def test_rejects_bad_shape_for_direction(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import nm_sparse_kit.permute as permute
 from nm_sparse_kit.masks import forward_mask
 from nm_sparse_kit.permute import (
     brute_force_best_permutation,
@@ -27,6 +28,27 @@ def eligible_by_hand(masked_w, pattern):
             if np.count_nonzero(masked_w[i : i + m, j]) <= n:
                 eligible += 1
     return eligible, total
+
+
+def ineligible_by_hand(masked_w, perm, pattern):
+    n, m = pattern.n, pattern.m
+    nz = (masked_w[perm] != 0).reshape(masked_w.shape[0] // m, m, -1).sum(axis=1)
+    return int((nz > n).sum())
+
+
+def sequential_search(masked_w, pattern, k, current, seed):
+    """One candidate at a time: the incumbent, then k rng.permutation draws,
+    replaced only on a strictly higher eligible count."""
+    rows = masked_w.shape[0]
+    rng = np.random.default_rng(seed)
+    best = current
+    best_over = ineligible_by_hand(masked_w, current, pattern)
+    for _ in range(k):
+        cand = rng.permutation(rows)
+        over = ineligible_by_hand(masked_w, cand, pattern)
+        if over < best_over:
+            best, best_over = cand, over
+    return best, best_over
 
 
 class TestCountEligibleBlocks:
@@ -53,6 +75,57 @@ class TestCountEligibleBlocks:
     def test_divisibility_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             count_eligible_blocks(np.zeros((6, 4)), P24)
+
+
+class TestPackedScorer:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
+    def test_packed_counts_match_naive_counts(self, m):
+        rng = np.random.default_rng(70 + m)
+        for cols in (1, 63, 64, 65, 130):
+            for n in sorted({1, max(1, m // 2), m}):
+                rows = m * int(rng.integers(1, 4))
+                density = rng.uniform(0.1, 0.9)
+                w = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+                perms = np.array([rng.permutation(rows) for _ in range(9)])
+                got = permute._ineligible_counts(permute._pack_nonzeros(w), perms, n, m)
+                pattern = NmPattern(n, m)
+                assert got.tolist() == [ineligible_by_hand(w, p, pattern) for p in perms]
+
+    def test_all_zero_matrix_has_no_ineligible_block(self):
+        perms = np.array([np.arange(16), np.arange(16)[::-1]])
+        packed = permute._pack_nonzeros(np.zeros((16, 70)))
+        assert permute._ineligible_counts(packed, perms, 1, 16).tolist() == [0, 0]
+
+    def test_n_equal_m_is_always_eligible(self):
+        w = np.ones((8, 100))
+        report = search_permutation(w, NmPattern(4, 4), k=5, seed=0)
+        assert report.eligible_blocks == report.total_blocks == 200
+
+    @pytest.mark.parametrize("shape, pattern", [((16, 70), NmPattern(2, 4)), ((32, 33), NmPattern(1, 16)), ((24, 130), NmPattern(3, 8))])
+    def test_search_matches_sequential_oracle(self, shape, pattern):
+        rng = np.random.default_rng(80)
+        for seed in range(8):
+            w = rng.normal(size=shape) * (rng.random(shape) < rng.uniform(0.1, 0.6))
+            current = rng.permutation(shape[0]) if seed % 2 else np.arange(shape[0])
+            report = search_permutation(w, pattern, k=30, current=current, seed=seed)
+            best, best_over = sequential_search(w, pattern, 30, current, seed)
+            assert np.array_equal(report.chosen, best)
+            assert report.eligible_blocks == report.total_blocks - best_over
+
+    def test_batch_boundaries_keep_the_tie_rule(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        w = np.round(rng.normal(size=(8, 12))) * (rng.random((8, 12)) < 0.5)
+        small = w[:6]
+        whole = search_permutation(w, P24, k=40, seed=3)
+        exact = brute_force_best_permutation(small, NmPattern(2, 3))
+        # two blocks of one word each: batches of 7 candidates
+        monkeypatch.setattr(permute, "_PLANE_WORDS", 14)
+        batched = search_permutation(w, P24, k=40, seed=3)
+        assert np.array_equal(batched.chosen, whole.chosen)
+        assert batched.eligible_blocks == whole.eligible_blocks
+        brute = brute_force_best_permutation(small, NmPattern(2, 3))
+        assert np.array_equal(brute.chosen, exact.chosen)
+        assert brute.eligible_blocks == exact.eligible_blocks
 
 
 class TestCheckPermutation:
