@@ -53,15 +53,7 @@ from .permute import (
     identity_permutation,
     search_permutation,
 )
-from .tensorops import (
-    NmPattern,
-    load_matrix,
-    matmul,
-    matrix,
-    save_matrix,
-    top_n_threshold,
-    transpose,
-)
+from .tensorops import NmPattern, load_matrix, matrix, save_matrix
 from .training import (
     DivergenceError,
     SparseLinearLayer,

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .permute import check_permutation
-from .tensorops import NmPattern, matrix
+from .tensorops import NmPattern, format_matrix, matrix, parse_matrix
 
 
 class MaskDirection(Enum):
@@ -217,11 +217,6 @@ def backward_mask(
 @lru_cache(maxsize=None)
 def _feasible_tile_masks(n: int, m: int) -> np.ndarray:
     """All m x m binary masks with every row and column sum <= n, as (K, m, m)."""
-    if m > 4:
-        raise ValueError(
-            f"exact tile enumeration is only feasible for m <= 4, got m = {m}; "
-            "use the 2-approximation instead"
-        )
     row_patterns = [p for p in itertools.product((0, 1), repeat=m) if sum(p) <= n]
     masks = []
     for rows in itertools.product(row_patterns, repeat=m):
@@ -322,25 +317,6 @@ def tile_kept_magnitudes(w: np.ndarray, mask: Mask, pattern: NmPattern) -> np.nd
     return kept.reshape(rows // m, m, cols // m, m).sum(axis=(1, 3))
 
 
-def _transposable_count_enumerated(n: int, m: int) -> int:
-    count = 0
-    row_patterns = [p for p in itertools.combinations(range(m), n)]
-    for rows in itertools.product(row_patterns, repeat=m):
-        col_sums = [0] * m
-        ok = True
-        for pat in rows:
-            for c in pat:
-                col_sums[c] += 1
-                if col_sums[c] > n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def _transposable_count_dp(n: int, m: int) -> int:
     """Count m x m masks with exactly n ones per row and at most n per column.
 
@@ -384,8 +360,8 @@ def mask_diversity(pattern: NmPattern, family: MaskFamily, tile_rows: int | None
 
     Vanilla counts exactly-N row blocks independently: C(M, N) ** tile_rows.
     Transposable counts M x M tiles with exactly N ones per row whose column
-    sums stay within the N budget, via exhaustive enumeration (m <= 4) or a
-    column-capacity-profile dynamic program (m <= 16).
+    sums stay within the N budget, via a column-capacity-profile dynamic
+    program (m <= 16).
     """
     n, m = pattern.n, pattern.m
     if family is MaskFamily.VANILLA:
@@ -396,8 +372,6 @@ def mask_diversity(pattern: NmPattern, family: MaskFamily, tile_rows: int | None
         raise ValueError(f"transposable diversity is defined on the M x M tile; tile_rows must be {m} or omitted")
     if m > 16:
         raise ValueError(f"transposable diversity supported up to m = 16 (profile DP), got m = {m}")
-    if m <= 4:
-        return _transposable_count_enumerated(n, m)
     return _transposable_count_dp(n, m)
 
 
@@ -428,20 +402,13 @@ def validate_mask(mask: Mask) -> list[BlockViolation]:
 # Text format: "direction n m" header, then the matrix block of 0/1 entries.
 
 def format_mask(mask: Mask) -> str:
-    rows, cols = mask.bits.shape
-    lines = [
-        f"{mask.direction.value} {mask.pattern.n} {mask.pattern.m}",
-        f"{rows} {cols}",
-    ]
-    for row in mask.bits:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return f"{mask.direction.value} {mask.pattern.n} {mask.pattern.m}\n" + format_matrix(mask.bits)
 
 
 def parse_mask(text: str) -> Mask:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError("mask text needs a direction header and a shape header")
+    if not lines:
+        raise ValueError("mask text needs a direction header")
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError(f"mask header must be 'direction n m', got {lines[0]!r}")
@@ -450,17 +417,7 @@ def parse_mask(text: str) -> Mask:
     except ValueError:
         raise ValueError(f"unknown mask direction {head[0]!r}") from None
     pattern = NmPattern(int(head[1]), int(head[2]))
-    shape = lines[1].split()
-    rows, cols = int(shape[0]), int(shape[1])
-    if len(lines) - 2 != rows:
-        raise ValueError(f"mask text declares {rows} rows but has {len(lines) - 2}")
-    bits = []
-    for line in lines[2:]:
-        entries = line.split()
-        if len(entries) != cols:
-            raise ValueError(f"mask row has {len(entries)} entries, expected {cols}")
-        bits.append([int(e) for e in entries])
-    return Mask(direction, np.array(bits, dtype=np.uint8), pattern)
+    return Mask(direction, parse_matrix("\n".join(lines[1:])), pattern)
 
 
 def save_mask(path, mask: Mask) -> None:

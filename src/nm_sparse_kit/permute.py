@@ -129,7 +129,8 @@ def search_permutation(
     Ties go to the incumbent, then to the earlier candidate, so the chosen
     permutation never has fewer eligible blocks than ``current``. Passing
     k >= rows! (rows small enough to enumerate) switches the candidates to an
-    exhaustive sweep of all permutations, which makes the search exact.
+    exhaustive sweep of all permutations, which makes the search exact; it
+    reports rows! candidates, since the incumbent is one of them.
 
     The candidates are k successive ``rng.permutation`` draws from ``seed``.
     They are scored together rather than one by one: the non-zero pattern is
@@ -148,10 +149,9 @@ def search_permutation(
     current = identity_permutation(rows) if current is None else check_permutation(current, rows)
 
     start = time.perf_counter()
-    exhaustive = rows <= BRUTE_FORCE_MAX_ROWS and k >= factorial(rows)
-    if exhaustive:
+    if rows <= BRUTE_FORCE_MAX_ROWS and k >= factorial(rows):
         candidates = itertools.permutations(range(rows))
-        evaluated = factorial(rows) + 1
+        evaluated = factorial(rows)
     else:
         rng = np.random.default_rng(seed)
         candidates = (rng.permutation(rows) for _ in range(k))
@@ -164,20 +164,14 @@ def search_permutation(
 def brute_force_best_permutation(masked_w: np.ndarray, pattern: NmPattern) -> SearchReport:
     """Exact argmax over all rows! permutations; guarded to rows <= 8.
 
-    Ties return the first maximizer in lexicographic enumeration order.
+    This is ``search_permutation``'s exhaustive sweep from the identity, the
+    first permutation in lexicographic order, so ties return the first
+    maximizer in lexicographic enumeration order.
     """
-    masked_w = matrix(masked_w)
-    n, m = pattern.n, pattern.m
-    rows, cols = masked_w.shape
+    rows = matrix(masked_w).shape[0]
     if rows > BRUTE_FORCE_MAX_ROWS:
         raise ValueError(
             f"brute force enumerates rows! permutations and is only feasible "
             f"for rows <= {BRUTE_FORCE_MAX_ROWS}, got {rows}"
         )
-    if rows % m:
-        raise ValueError(f"matrix rows ({rows}) must be divisible by block size {m}")
-
-    start = time.perf_counter()
-    best, best_count = _best_permutation(masked_w, itertools.permutations(range(rows)), n, m)
-    elapsed = time.perf_counter() - start
-    return SearchReport(best, best_count, (rows // m) * cols, factorial(rows), elapsed)
+    return search_permutation(masked_w, pattern, factorial(rows))

@@ -60,33 +60,6 @@ class NmPattern:
         return f"{self.n}:{self.m}"
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformance check."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: left is {a.shape[0]}x{a.shape[1]}, "
-            f"right is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Transposed copy; applying it twice is bit-identical to the input."""
-    return np.ascontiguousarray(a.T)
-
-
-def top_n_threshold(block, n: int) -> float:
-    """The n-th largest value of ``block`` under descending sort, ties counted.
-
-    ``block`` holds absolute magnitudes. Used as the keep/drop threshold of
-    the per-block top-N rule.
-    """
-    values = np.asarray(block, dtype=np.float64).ravel()
-    if not 1 <= n <= values.size:
-        raise ValueError(f"top-n rank {n} out of range for block of length {values.size}")
-    return float(np.sort(values)[::-1][n - 1])
-
-
 # Plain-text serialization: header line "rows cols", one whitespace-separated
 # row per line. %.17g keeps float64 round-trips exact.
 

@@ -19,7 +19,6 @@ import numpy as np
 from .masks import (
     BinarizationCriterion,
     Mask,
-    TransposableMethod,
     backward_mask,
     forward_mask,
     transposable_mask,
@@ -132,14 +131,7 @@ class SparseLinearLayer:
     indexed in the permuted row order.
     """
 
-    def __init__(
-        self,
-        w,
-        pattern: NmPattern,
-        strategy: Strategy,
-        transposable_method: TransposableMethod = TransposableMethod.TWO_APPROX,
-        salt: int = 0,
-    ):
+    def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
         self.w = matrix(w)
         rows, cols = self.w.shape
         m = pattern.m
@@ -149,21 +141,14 @@ class SparseLinearLayer:
             raise ValueError(f"{strategy.value} layer needs rows divisible by {m}, got {rows}")
         self.pattern = pattern
         self.strategy = strategy
-        self.transposable_method = transposable_method
         self.salt = salt
         self.perm = identity_permutation(rows)
         self.prev_weight_grad: np.ndarray | None = None
-        self.fwd_mask: Mask | None = None
+        self.fwd_mask: Mask | None = _new_forward_mask(self)
         self.bwd_mask: Mask | None = None
         self._bwd_perm: np.ndarray | None = None
-        if strategy is Strategy.VANILLA:
-            self.fwd_mask = forward_mask(self.w, pattern)
-        elif strategy is Strategy.TRANSPOSABLE:
-            self.fwd_mask = transposable_mask(self.w, pattern, transposable_method)
-        elif strategy is Strategy.BI_MASK:
-            self.fwd_mask = forward_mask(self.w, pattern)
-            self.bwd_mask = backward_mask(self.w, self.fwd_mask, self.perm, pattern)
-            self._bwd_perm = self.perm.copy()
+        if strategy is Strategy.BI_MASK:
+            _rebuild_backward_mask(self, BinarizationCriterion.WEIGHT_MAGNITUDE, seed=None)
 
     @property
     def shape(self):
@@ -221,7 +206,35 @@ def weight_gradient(g_y: np.ndarray, x: np.ndarray, layer: SparseLinearLayer) ->
     return g_y @ x.T
 
 
-_SAMPLING = (BinarizationCriterion.MULTINOMIAL_SAMPLING, BinarizationCriterion.RANDOM)
+def _new_forward_mask(layer: SparseLinearLayer) -> Mask | None:
+    """The forward mask of the layer's strategy from its current weights."""
+    if layer.strategy is Strategy.DENSE:
+        return None
+    if layer.strategy is Strategy.TRANSPOSABLE:
+        return transposable_mask(layer.w, layer.pattern)
+    return forward_mask(layer.w, layer.pattern)
+
+
+def _rebuild_backward_mask(
+    layer: SparseLinearLayer, criterion: BinarizationCriterion, seed: int | None
+) -> None:
+    """Rebuild a bi-mask layer's backward mask from its incumbent permutation.
+
+    The gradient criterion falls back to weight magnitude until the layer
+    has a weight gradient; only the sampling criteria read ``seed``.
+    """
+    if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
+        criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
+    layer.bwd_mask = backward_mask(
+        layer.w,
+        layer.fwd_mask,
+        layer.perm,
+        layer.pattern,
+        criterion,
+        gradient=layer.prev_weight_grad,
+        seed=seed,
+    )
+    layer._bwd_perm = layer.perm.copy()
 
 
 def refresh_masks(
@@ -238,14 +251,9 @@ def refresh_masks(
     call from the incumbent permutation. Deterministic given
     (config.seed, iteration, layer.salt).
     """
-    old_fwd = None if layer.fwd_mask is None else layer.fwd_mask.bits.copy()
-    old_bwd = None if layer.bwd_mask is None else layer.bwd_mask.bits.copy()
+    old_masks = (layer.fwd_mask, layer.bwd_mask)
     seeds = np.random.SeedSequence([config.seed, iteration, layer.salt]).generate_state(2)
-
-    if layer.strategy in (Strategy.VANILLA, Strategy.BI_MASK):
-        layer.fwd_mask = forward_mask(layer.w, layer.pattern)
-    elif layer.strategy is Strategy.TRANSPOSABLE:
-        layer.fwd_mask = transposable_mask(layer.w, layer.pattern, layer.transposable_method)
+    layer.fwd_mask = _new_forward_mask(layer)
 
     stats = RefreshStats(mask_flip_count=0, eligible_blocks=0, total_blocks=0)
     if layer.strategy is Strategy.BI_MASK:
@@ -257,31 +265,14 @@ def refresh_masks(
             layer.perm = report.chosen
             stats.searched = True
             stats.search_seconds = report.elapsed
-        effective = criterion
-        grad = None
-        if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE:
-            if layer.prev_weight_grad is None:
-                effective = BinarizationCriterion.WEIGHT_MAGNITUDE
-            else:
-                grad = layer.prev_weight_grad
-        layer.bwd_mask = backward_mask(
-            layer.w,
-            layer.fwd_mask,
-            layer.perm,
-            layer.pattern,
-            effective,
-            gradient=grad,
-            seed=int(seeds[1]) if effective in _SAMPLING else None,
-        )
-        layer._bwd_perm = layer.perm.copy()
+        _rebuild_backward_mask(layer, criterion, int(seeds[1]))
         stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
             masked[layer.perm], layer.pattern
         )
 
-    if old_fwd is not None:
-        stats.mask_flip_count += int(np.sum(layer.fwd_mask.bits != old_fwd))
-    if old_bwd is not None:
-        stats.mask_flip_count += int(np.sum(layer.bwd_mask.bits != old_bwd))
+    for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
+        if old is not None:
+            stats.mask_flip_count += int(np.sum(new.bits != old.bits))
     return stats
 
 
@@ -320,7 +311,6 @@ def init_layers(
     pattern: NmPattern,
     strategy: Strategy,
     seed: int,
-    transposable_method: TransposableMethod = TransposableMethod.TWO_APPROX,
 ) -> list[SparseLinearLayer]:
     """He-initialized layer chain for the dim sequence [in, hidden..., out]."""
     if len(dims) < 2:
@@ -329,7 +319,7 @@ def init_layers(
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = rng.normal(size=(fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
-        layers.append(SparseLinearLayer(w, pattern, strategy, transposable_method, salt=i))
+        layers.append(SparseLinearLayer(w, pattern, strategy, salt=i))
     return layers
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from nm_sparse_kit.masks import (
     transposable_mask,
     validate_mask,
 )
-from nm_sparse_kit.masks import _transposable_count_dp, _transposable_count_enumerated
-from nm_sparse_kit.tensorops import NmPattern, top_n_threshold
+from nm_sparse_kit.masks import _transposable_count_dp
+from nm_sparse_kit.tensorops import NmPattern
 
 P24 = NmPattern(2, 4)
 P14 = NmPattern(1, 4)
@@ -90,6 +92,11 @@ class TestForwardMask:
         base = forward_mask(w, P24).bits
         for scale in (2.0, 0.5, 3.7, 1e6):
             assert np.array_equal(forward_mask(scale * w, P24).bits, base)
+
+
+def top_n_threshold(block, n):
+    """The n-th largest value of ``block`` under descending sort, ties counted."""
+    return float(np.sort(np.ravel(block))[::-1][n - 1])
 
 
 def eligible_everywhere_weights(rng, rows, cols, pattern):
@@ -349,6 +356,17 @@ class TestTransposableMask:
             transposable_mask(np.zeros((6, 8)), P24)
 
 
+def transposable_count_enumerated(n, m):
+    """m x m masks with exactly n ones per row and at most n per column, by enumeration."""
+    count = 0
+    for rows in itertools.product(itertools.combinations(range(m), n), repeat=m):
+        col_sums = np.zeros(m, dtype=int)
+        for pat in rows:
+            col_sums[list(pat)] += 1
+        count += int(col_sums.max() <= n)
+    return count
+
+
 class TestMaskDiversity:
     def test_vanilla_counts(self):
         assert mask_diversity(P24, MaskFamily.VANILLA, 1) == 6
@@ -376,8 +394,9 @@ class TestMaskDiversity:
             assert transposable < vanilla
 
     def test_dp_matches_enumeration_small(self):
-        for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
-            assert _transposable_count_dp(n, m) == _transposable_count_enumerated(n, m)
+        for m in (2, 3, 4):
+            for n in range(1, m + 1):
+                assert _transposable_count_dp(n, m) == transposable_count_enumerated(n, m)
 
     def test_known_closed_forms(self):
         import math
@@ -468,3 +487,17 @@ class TestMaskSerialization:
     def test_parse_rejects_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             parse_mask("sideways 2 4\n1 4\n1 1 0 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forward 2 4\n4\n1 1 0 0\n",  # one-token shape line
+            "forward 2 4\n1 4 9\n1 1 0 0\n",  # three-token shape line
+            "forward 2 4\n1 4\n1 1 0\n",  # short row
+            "forward 2 4\n1 4\n1 2 0 0\n",  # an entry that is not 0 or 1
+            "forward 2 4\n",  # no matrix block
+        ],
+    )
+    def test_parse_rejects_malformed_matrix_block(self, text):
+        with pytest.raises(ValueError):
+            parse_mask(text)

@@ -51,6 +51,25 @@ def sequential_search(masked_w, pattern, k, current, seed):
     return best, best_over
 
 
+def lexicographic_oracle(masked_w, pattern):
+    """First permutation in lexicographic order with the fewest ineligible blocks."""
+    best, best_over = None, None
+    for p in itertools.permutations(range(masked_w.shape[0])):
+        over = ineligible_by_hand(masked_w, np.array(p), pattern)
+        if best_over is None or over < best_over:
+            best, best_over = np.array(p), over
+    return best, best_over
+
+
+def tie_heavy_matrices(rng, rows, cols):
+    """Zero, rounded (tie-heavy), all-identical-row and duplicated-row inputs."""
+    yield np.zeros((rows, cols))
+    yield np.round(rng.normal(size=(rows, cols))) * (rng.random((rows, cols)) < 0.5)
+    yield np.tile(rng.normal(size=(1, cols)) * (rng.random((1, cols)) < 0.5), (rows, 1))
+    half = np.round(rng.normal(size=(-(-rows // 2), cols)))
+    yield np.concatenate([half, half])[:rows]
+
+
 class TestCountEligibleBlocks:
     def test_zero_matrix_all_eligible(self):
         assert count_eligible_blocks(np.zeros((8, 3)), P24) == (6, 6)
@@ -178,11 +197,26 @@ class TestSearchPermutation:
 
     def test_exhaustive_seeding_matches_brute_force(self):
         rng = np.random.default_rng(40)
+        cases = []
         for _ in range(10):
             masked = forward_mask(rng.normal(size=(4, 8)), P24).apply(rng.normal(size=(4, 8)))
-            exhaustive = search_permutation(masked, P24, k=factorial(4), seed=0)
-            oracle = brute_force_best_permutation(masked, P24)
+            cases.append((masked, P24))
+        for m in (2, 3, 4):
+            for rows in range(m, permute.BRUTE_FORCE_MAX_ROWS + 1, m):
+                for w in tie_heavy_matrices(rng, rows, 5):
+                    cases += [(w, NmPattern(n, m)) for n in range(1, m)]
+        for masked, pattern in cases:
+            rows = masked.shape[0]
+            exhaustive = search_permutation(masked, pattern, k=factorial(rows), seed=0)
+            oracle = brute_force_best_permutation(masked, pattern)
+            assert np.array_equal(exhaustive.chosen, oracle.chosen)
             assert exhaustive.eligible_blocks == oracle.eligible_blocks
+            assert exhaustive.total_blocks == oracle.total_blocks
+            assert exhaustive.candidates_evaluated == oracle.candidates_evaluated == factorial(rows)
+            if rows <= 6:
+                best, best_over = lexicographic_oracle(masked, pattern)
+                assert np.array_equal(oracle.chosen, best)
+                assert oracle.eligible_blocks == oracle.total_blocks - best_over
 
     def test_deterministic_given_seed(self):
         w = np.random.default_rng(1).normal(size=(8, 8)) * 0.5

@@ -5,12 +5,9 @@ from nm_sparse_kit.tensorops import (
     NmPattern,
     format_matrix,
     load_matrix,
-    matmul,
     matrix,
     parse_matrix,
     save_matrix,
-    top_n_threshold,
-    transpose,
 )
 
 
@@ -48,87 +45,6 @@ class TestNmPattern:
         for text in ("24", "2:4:8", "a:b"):
             with pytest.raises(ValueError):
                 NmPattern.parse(text)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = matrix([[1, 2], [3, 4]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_orthogonal_supports(self):
-        a = matrix([[1, 0], [0, 0]])
-        b = matrix([[0, 0], [0, 1]])
-        assert np.array_equal(matmul(a, b), np.zeros((2, 2)))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        expected = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                acc = 0.0
-                for k in range(7):
-                    acc += a[i, k] * b[k, j]
-                expected[i, j] = acc
-        assert np.allclose(matmul(a, b), expected, rtol=1e-12, atol=1e-14)
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x3.*4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
-
-    def test_transpose_of_product(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            assert np.allclose(
-                transpose(matmul(a, b)), matmul(transpose(b), transpose(a)), rtol=0, atol=1e-12
-            )
-
-
-class TestTranspose:
-    def test_small(self):
-        assert np.array_equal(transpose(matrix([[1, 2], [3, 4]])), [[1, 3], [2, 4]])
-
-    def test_row_vector(self):
-        assert transpose(matrix([[1, 2, 3]])).shape == (3, 1)
-
-    def test_symmetric_fixed_point(self):
-        s = matrix([[2, 1], [1, 2]])
-        assert np.array_equal(transpose(s), s)
-
-    def test_involution_bit_equal(self):
-        rng = np.random.default_rng(17)
-        a = rng.normal(size=(6, 9))
-        back = transpose(transpose(a))
-        assert back.tobytes() == a.tobytes()
-
-
-class TestTopNThreshold:
-    def test_direct(self):
-        assert top_n_threshold([0.5, 0.3, 0.2, 0.1], 2) == 0.3
-
-    def test_zeros(self):
-        assert top_n_threshold([0, 0, 0, 0], 2) == 0
-
-    def test_ties_counted_by_multiplicity(self):
-        assert top_n_threshold([0.3, 0.3, 0.1, 0.2], 2) == 0.3
-
-    @pytest.mark.parametrize("n", [0, 5])
-    def test_rank_out_of_range(self, n):
-        with pytest.raises(ValueError, match="out of range"):
-            top_n_threshold([0.5, 0.3, 0.2, 0.1], n)
 
 
 class TestSerialization:
