@@ -105,37 +105,59 @@ def _check_divisible(dim: int, m: int, what: str) -> None:
         raise ValueError(f"{what} ({dim}) must be divisible by block size {m}")
 
 
+def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
+    """The n largest keys of each row of (blocks, m) keys, as 0/1 uint8.
+
+    Ties keep the lowest index, as in a stable descending sort: each of n
+    argmax rounds takes the first maximum and sets it to -inf. A row left
+    with only -inf keys gets its lowest free slots instead. For n > m / 2 the
+    m - n dropped slots are picked from the negated, reversed keys. ``keys``
+    may be overwritten.
+    """
+    blocks, m = keys.shape
+    if 2 * n > m:
+        return 1 - _top_n(-keys[:, ::-1], m - n)[:, ::-1]
+    work = np.ascontiguousarray(keys, dtype=np.float64)
+    has_neg_inf = work.min() == -np.inf
+    bits = np.zeros((blocks, m), dtype=np.uint8)
+    flat_work, flat_bits = work.reshape(-1), bits.reshape(-1)
+    starts = np.arange(0, blocks * m, m)
+    for _ in range(n):
+        taken = starts + work.argmax(axis=1)
+        flat_bits[taken] = 1
+        flat_work[taken] = -np.inf
+    if has_neg_inf:
+        free = bits == 0
+        short = n - m + free.sum(axis=1, keepdims=True)
+        bits |= free & (free.cumsum(axis=1) <= short)
+    return bits
+
+
 def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     """Row-blockwise top-N magnitude mask (the vanilla forward mask).
 
     Within each block of M contiguous columns of a row, the N largest |w|
-    entries survive; magnitude ties keep the lowest column index, so the
-    result is deterministic and has exactly N ones per block.
+    entries survive; magnitude ties keep the lowest column index (the first
+    maximum of each argmax round), so the result is deterministic and has
+    exactly N ones per block.
     """
     w = matrix(w)
-    n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    _check_divisible(cols, m, "matrix cols")
-    mags = np.abs(w).reshape(rows, cols // m, m)
-    # stable sort on the negated magnitudes: ties resolve to the lowest index
-    order = np.argsort(-mags, axis=2, kind="stable")
-    bits = np.zeros_like(mags, dtype=np.uint8)
-    np.put_along_axis(bits, order[:, :, :n], 1, axis=2)
+    _check_divisible(cols, pattern.m, "matrix cols")
+    bits = _top_n(np.abs(w).reshape(-1, pattern.m), pattern.n)
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
 
 
 def _block_keep_positions(keys: np.ndarray, n: int, m: int) -> np.ndarray:
     """Keep the n highest-key positions in every column block of m rows.
 
-    ``keys`` is (rows, cols); ties resolve to the lowest row index. Returns a
-    uint8 selection matrix with exactly n ones per column block.
+    ``keys`` is (rows, cols); each block is copied into a contiguous row for
+    ``_top_n``, so ties resolve to the lowest row index. Returns a uint8
+    selection matrix with exactly n ones per column block.
     """
     rows, cols = keys.shape
-    blocked = keys.reshape(rows // m, m, cols)
-    order = np.argsort(-blocked, axis=1, kind="stable")
-    sel = np.zeros_like(blocked, dtype=np.uint8)
-    np.put_along_axis(sel, order[:, :n, :], 1, axis=1)
-    return sel.reshape(rows, cols)
+    sel = _top_n(keys.reshape(rows // m, m, cols).swapaxes(1, 2).reshape(-1, m), n)
+    return sel.reshape(rows // m, cols, m).swapaxes(1, 2).reshape(rows, cols)
 
 
 def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,14 +166,19 @@ def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     Positive-statistic entries get log(p) + Gumbel noise, which drawn top-N
     is multinomial sampling without replacement. Zero entries sit in a band
     far below any positive key with uniform noise, so all-zero blocks fall
-    back to a uniform draw.
+    back to a uniform draw. A block whose total overflows is first divided
+    by its maximum; every other block's keys are unchanged by that.
     """
     rows, cols = stat.shape
     blocked = stat.reshape(rows // m, m, cols)
-    totals = blocked.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        totals = blocked.sum(axis=1, keepdims=True)
+    if np.isinf(totals).any():
+        blocked = blocked / np.where(np.isinf(totals), blocked.max(axis=1, keepdims=True), 1.0)
+        totals = blocked.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(blocked > 0, np.log(blocked / np.where(totals > 0, totals, 1.0)), -np.inf)
-    gumbel = -np.log(-np.log(rng.random(blocked.shape)))
+        gumbel = -np.log(-np.log(rng.random(blocked.shape)))
     keys = np.where(blocked > 0, logp + gumbel, -1e12 + rng.random(blocked.shape))
     return keys.reshape(rows, cols)
 

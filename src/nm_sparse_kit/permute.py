@@ -78,6 +78,14 @@ def _pack_nonzeros(masked_w: np.ndarray) -> np.ndarray:
     return np.packbits(nonzero, axis=1).view(np.uint64)
 
 
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of every uint64 word, by the SWAR sum of adjacent bit fields."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
 def _ineligible_counts(packed: np.ndarray, perms: np.ndarray, n: int, m: int) -> np.ndarray:
     """Ineligible column blocks of the packed pattern under each row permutation.
 
@@ -92,29 +100,35 @@ def _ineligible_counts(packed: np.ndarray, perms: np.ndarray, n: int, m: int) ->
         for i in range(n, 0, -1):
             planes[i] |= planes[i - 1] & x
         planes[0] |= x
-    over = np.unpackbits(planes[n].view(np.uint8).reshape(len(perms), -1), axis=1)
-    return over.sum(axis=1, dtype=np.int64)
+    return _popcount(planes[n]).reshape(len(perms), -1).sum(axis=1, dtype=np.int64)
 
 
-def _best_permutation(masked_w: np.ndarray, candidates, n: int, m: int) -> tuple[np.ndarray, int]:
-    """(first candidate with the most eligible blocks, its eligible count).
+def _best_permutation(
+    masked_w: np.ndarray, current: np.ndarray, draw, total: int, n: int, m: int
+) -> tuple[np.ndarray, int]:
+    """(first permutation with the most eligible blocks, its eligible count).
 
-    Candidates are drawn from the iterable in batches sized to
-    ``_PLANE_WORDS`` and scored together. Within a batch argmin keeps the
-    earliest; a later batch wins only with strictly fewer ineligible blocks.
+    The incumbent comes first, then ``total`` candidates that ``draw(count)``
+    returns as (count, rows) arrays. They are scored in batches sized to
+    ``_PLANE_WORDS``. Within a batch argmin keeps the earliest; a later batch
+    wins only with strictly fewer ineligible blocks.
     """
     packed = _pack_nonzeros(masked_w)
     rows, words = packed.shape
     batch = max(1, _PLANE_WORDS // (rows // m * words))
-    stream = iter(candidates)
+    perms, left = current[None], total
     best, best_over = None, None
-    while chunk := list(itertools.islice(stream, batch)):
-        perms = np.array(chunk, dtype=np.int64)
+    while True:
+        take = min(batch - len(perms), left)
+        if take:
+            perms, left = np.concatenate([perms, draw(take)]), left - take
         over = _ineligible_counts(packed, perms, n, m)
         i = int(np.argmin(over))
         if best_over is None or over[i] < best_over:
             best, best_over = perms[i].copy(), int(over[i])
-    return best, (rows // m) * masked_w.shape[1] - best_over
+        if not left:
+            return best, (rows // m) * masked_w.shape[1] - best_over
+        perms = perms[:0]
 
 
 def search_permutation(
@@ -132,7 +146,8 @@ def search_permutation(
     exhaustive sweep of all permutations, which makes the search exact; it
     reports rows! candidates, since the incumbent is one of them.
 
-    The candidates are k successive ``rng.permutation`` draws from ``seed``.
+    The candidates are k successive ``rng.permutation`` draws from ``seed``,
+    drawn a batch at a time with ``rng.permuted``, which yields the same stream.
     They are scored together rather than one by one: the non-zero pattern is
     packed 64 columns to a uint64 word, each candidate's rows are gathered
     from it, and per column block N + 1 "at least i non-zeros" bit planes
@@ -150,13 +165,14 @@ def search_permutation(
 
     start = time.perf_counter()
     if rows <= BRUTE_FORCE_MAX_ROWS and k >= factorial(rows):
-        candidates = itertools.permutations(range(rows))
-        evaluated = factorial(rows)
+        sweep = itertools.permutations(range(rows))
+        total = evaluated = factorial(rows)
+        draw = lambda count: np.array(list(itertools.islice(sweep, count)), dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        candidates = (rng.permutation(rows) for _ in range(k))
-        evaluated = k + 1
-    best, best_count = _best_permutation(masked_w, itertools.chain([current], candidates), n, m)
+        total, evaluated = k, k + 1
+        draw = lambda count: rng.permuted(np.tile(np.arange(rows, dtype=np.int64), (count, 1)), axis=1)
+    best, best_count = _best_permutation(masked_w, current, draw, total, n, m)
     elapsed = time.perf_counter() - start
     return SearchReport(best, best_count, (rows // m) * cols, evaluated, elapsed)
 

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nm_sparse_kit.masks import (
     BinarizationCriterion,
@@ -21,7 +24,7 @@ from nm_sparse_kit.masks import (
     transposable_mask,
     validate_mask,
 )
-from nm_sparse_kit.masks import _transposable_count_dp
+from nm_sparse_kit.masks import _block_keep_positions, _sampling_keys, _top_n, _transposable_count_dp
 from nm_sparse_kit.tensorops import NmPattern
 
 P24 = NmPattern(2, 4)
@@ -225,6 +228,202 @@ class TestBackwardMask:
         fwd = forward_mask(w, P24)
         with pytest.raises(ValueError, match="rows.*divisible"):
             backward_mask(w, fwd, None, P24)
+
+
+def top_n_sort_oracle(keys, n):
+    """First n positions of a stable descending sort of each row of (blocks, m) keys."""
+    order = np.argsort(-keys, axis=1, kind="stable")
+    bits = np.zeros(keys.shape, dtype=np.uint8)
+    np.put_along_axis(bits, order[:, :n], 1, axis=1)
+    return bits
+
+
+def forward_sort_oracle(w, pattern):
+    n, m = pattern.n, pattern.m
+    rows, cols = w.shape
+    return top_n_sort_oracle(np.abs(w).reshape(rows * cols // m, m), n).reshape(rows, cols)
+
+
+def column_block_sort_oracle(keys, n, m):
+    """Stable descending sort down every column block of m rows."""
+    rows, cols = keys.shape
+    order = np.argsort(-keys.reshape(rows // m, m, cols), axis=1, kind="stable")
+    sel = np.zeros((rows // m, m, cols), dtype=np.uint8)
+    np.put_along_axis(sel, order[:, :n, :], 1, axis=1)
+    return sel.reshape(rows, cols)
+
+
+def criterion_keys(w, fwd, perm, pattern, criterion, gradient, seed):
+    """The selection statistic backward_mask ranks, for each criterion."""
+    fwd_perm = fwd.bits[perm]
+    if criterion is BinarizationCriterion.WEIGHT_MAGNITUDE:
+        return np.abs(fwd_perm * w[perm])
+    if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE:
+        return np.abs(fwd_perm * gradient[perm])
+    if criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
+        return _sampling_keys(np.abs(fwd_perm * w[perm]), pattern.m, np.random.default_rng(seed))
+    return np.random.default_rng(seed).random(w.shape)
+
+
+def sampling_keys_unscaled(stat, m, rng):
+    """The sampling keys as computed before overflowing blocks were rescaled."""
+    rows, cols = stat.shape
+    blocked = stat.reshape(rows // m, m, cols)
+    totals = blocked.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(blocked > 0, np.log(blocked / np.where(totals > 0, totals, 1.0)), -np.inf)
+        gumbel = -np.log(-np.log(rng.random(blocked.shape)))
+    keys = np.where(blocked > 0, logp + gumbel, -1e12 + rng.random(blocked.shape))
+    return keys.reshape(rows, cols)
+
+
+KERNEL_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "4:4", "1:8", "4:8", "1:16", "16:16")]
+NEAR_MAX = 1.7e308
+
+
+def kernel_cases(pattern, seed):
+    """Weights with ties, zero and constant blocks, and extreme magnitudes.
+
+    The 1e300 / 1e-320 mix makes multinomial keys of -inf: a tiny entry's
+    share of its column block underflows to zero.
+    """
+    m = pattern.m
+    rng = np.random.default_rng(seed)
+    for grid in [(1, 1), (2, 3), (3, 1)]:
+        shape = (grid[0] * m, grid[1] * m)
+        w = rng.normal(size=shape)
+        yield w
+        yield np.round(w)
+        yield rng.integers(-2, 3, size=shape).astype(np.float64)
+        zeros = w.copy()
+        zeros[:m, :m] = 0.0
+        yield zeros
+        const = w.copy()
+        const[-m:, -m:] = -0.75
+        yield const
+        yield np.full(shape, 3.0)
+        yield w * 1e300
+        yield w * 1e-300
+        yield rng.uniform(0.5, 1.0, size=shape) * NEAR_MAX * np.sign(w)
+        yield np.where(rng.random(shape) < 0.5, 1e300, 1e-320) * np.sign(w)
+
+
+class TestTopNKernel:
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=str)
+    def test_forward_matches_stable_sort(self, pattern):
+        for w in kernel_cases(pattern, seed=pattern.m * 10 + pattern.n):
+            assert np.array_equal(forward_mask(w, pattern).bits, forward_sort_oracle(w, pattern))
+
+    @pytest.mark.parametrize("criterion", list(BinarizationCriterion), ids=lambda c: c.value)
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=str)
+    def test_backward_matches_stable_sort(self, pattern, criterion):
+        n, m = pattern.n, pattern.m
+        rng = np.random.default_rng(pattern.m * 10 + pattern.n + 1)
+        for trial, w in enumerate(kernel_cases(pattern, seed=pattern.m * 10 + pattern.n + 2)):
+            fwd = forward_mask(w, pattern)
+            perm = rng.permutation(w.shape[0])
+            gradient = np.round(rng.normal(size=w.shape)) * 10.0 ** rng.choice([-300, 0, 300])
+            bwd = backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=trial)
+            keys = criterion_keys(w, fwd, perm, pattern, criterion, gradient, trial)
+            assert np.array_equal(bwd.bits, column_block_sort_oracle(keys, n, m) * fwd.bits[perm])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
+    def test_keys_with_infinities_and_signed_zeros(self, m):
+        # -inf keys must never let a taken slot be picked twice
+        rng = np.random.default_rng(100 + m)
+        values = [-np.inf, -1e308, -1.0, -0.0, 0.0, 1e-300, 1.0, np.inf]
+        for n in range(0, m + 1):
+            for _ in range(20):
+                keys = rng.choice(values, size=(9, m))
+                keys[rng.random((9, m)) < 0.3] = -np.inf
+                keys[0] = -np.inf
+                assert np.array_equal(_top_n(keys.copy(), n), top_n_sort_oracle(keys, n))
+                assert np.array_equal(
+                    _block_keep_positions(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m)
+                )
+
+    def test_multinomial_keys_contain_minus_inf(self):
+        w = np.where(np.arange(16).reshape(4, 4) % 3 == 0, 1e300, 1e-320)
+        keys = _sampling_keys(np.abs(w), 4, np.random.default_rng(0))
+        assert np.isneginf(keys).any()
+
+
+class TestSamplingKeys:
+    def test_overflowing_blocks_keep_every_positive_entry(self):
+        # near the float maximum a column block's total overflows; the
+        # multinomial mask must still rank positive entries above zero ones
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.5, 1.0, size=(8, 8)) * NEAR_MAX * rng.choice((-1, 1), size=(8, 8))
+        fwd = forward_mask(w, P24)
+        by_weight = backward_mask(w, fwd, None, P24)
+        sampled = backward_mask(w, fwd, None, P24, BinarizationCriterion.MULTINOMIAL_SAMPLING, seed=1)
+        fits = np.minimum(2, (fwd.bits.reshape(2, 4, 8).sum(axis=1))).sum()
+        assert sampled.bits.sum() == by_weight.bits.sum() == fits
+        assert np.isfinite(_sampling_keys(np.abs(fwd.apply(w)), 4, np.random.default_rng(1))).all()
+
+    def test_finite_totals_give_unchanged_keys(self):
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 1e300, 1e-300):
+            stat = np.abs(np.round(rng.normal(size=(8, 12)), 1)) * scale
+            got = _sampling_keys(stat, 4, np.random.default_rng(3))
+            assert np.array_equal(got, sampling_keys_unscaled(stat, 4, np.random.default_rng(3)))
+        # one overflowing block leaves every other block's keys as they were
+        stat = np.abs(rng.normal(size=(8, 12)))
+        stat[:4, 5] = NEAR_MAX
+        got = _sampling_keys(stat, 4, np.random.default_rng(4))
+        with np.errstate(over="ignore"):
+            old = sampling_keys_unscaled(stat, 4, np.random.default_rng(4))
+        finite_block = np.ones(stat.shape, dtype=bool)
+        finite_block[:4, 5] = False
+        assert np.array_equal(got[finite_block], old[finite_block])
+        assert np.isfinite(got[:4, 5]).all()
+
+
+@st.composite
+def block_matrices(draw):
+    """(weights, pattern) with up to 3 x 3 blocks and M up to 16; entries mix
+    ties, zeros and magnitudes near 1e+-308."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(1, m))
+    shape = (m * draw(st.integers(1, 3)), m * draw(st.integers(1, 3)))
+    values = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 0.5, NEAR_MAX, -NEAR_MAX, 1e-308]),
+        st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False),
+    )
+    return draw(hnp.arrays(np.float64, shape, elements=values)), NmPattern(n, m)
+
+
+class TestBlockInvariantProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(block_matrices())
+    def test_forward_keeps_the_n_largest_lowest_index_first(self, case):
+        w, pattern = case
+        n, m = pattern.n, pattern.m
+        bits = forward_mask(w, pattern).bits.reshape(-1, m)
+        mags = np.abs(w).reshape(-1, m)
+        assert (bits.sum(axis=1) == n).all()
+        idx = np.arange(m)
+        for row, b in zip(mags, bits):
+            kept, dropped = idx[b == 1], idx[b == 0]
+            for i in kept:
+                for j in dropped:
+                    assert row[i] > row[j] or (row[i] == row[j] and i < j)
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_matrices(), st.sampled_from(list(BinarizationCriterion)), st.integers(0, 2**32 - 1))
+    def test_backward_blocks_stay_within_the_permuted_forward_mask(self, case, criterion, seed):
+        w, pattern = case
+        n, m = pattern.n, pattern.m
+        perm = np.random.default_rng(seed).permutation(w.shape[0])
+        fwd = forward_mask(w, pattern)
+        bwd = backward_mask(w, fwd, perm, pattern, criterion, gradient=w[::-1].copy(), seed=seed)
+        assert validate_mask(bwd) == []
+        assert (bwd.bits <= fwd.bits[perm]).all()
+        if criterion is BinarizationCriterion.WEIGHT_MAGNITUDE:
+            # every block keeps min(n, its non-zeros) of the masked weights
+            nonzeros = (fwd.apply(w)[perm] != 0).reshape(-1, m, w.shape[1]).sum(axis=1)
+            ones = bwd.bits.reshape(-1, m, w.shape[1]).sum(axis=1)
+            assert (ones >= np.minimum(n, nonzeros)).all()
 
 
 def exhaustive_tile_optimum(abs_tile, n):

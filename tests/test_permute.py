@@ -147,6 +147,41 @@ class TestPackedScorer:
         assert brute.eligible_blocks == exact.eligible_blocks
 
 
+class TestCandidateBatches:
+    @pytest.mark.parametrize("rows", [8, 16, 64, 256, 512])
+    def test_batched_draws_repeat_the_permutation_stream(self, rows):
+        # rng.permuted over tiled rows consumes the generator exactly as
+        # successive rng.permutation calls do, wherever the batches split
+        sequential = np.random.default_rng(rows)
+        expected = np.array([sequential.permutation(rows) for _ in range(12)])
+        for split in ([12], [1, 11], [5, 7], [3, 3, 3, 3]):
+            rng = np.random.default_rng(rows)
+            draws = [rng.permuted(np.tile(np.arange(rows), (c, 1)), axis=1) for c in split]
+            assert np.array_equal(np.concatenate(draws), expected)
+
+    @pytest.mark.parametrize("plane_words", [8, 16, 24, 56, 1 << 15])
+    def test_search_matches_sequential_oracle_at_any_batch_size(self, monkeypatch, plane_words):
+        # 16 x 70 at 2:4 is 4 blocks of 2 words per candidate: batches of 1, 2, 3, 7 or all
+        monkeypatch.setattr(permute, "_PLANE_WORDS", plane_words)
+        rng = np.random.default_rng(91)
+        for seed in range(6):
+            w = np.round(rng.normal(size=(16, 70))) * (rng.random((16, 70)) < 0.4)
+            current = rng.permutation(16) if seed % 2 else np.arange(16)
+            report = search_permutation(w, P24, k=23, current=current, seed=seed)
+            best, best_over = sequential_search(w, P24, 23, current, seed)
+            assert np.array_equal(report.chosen, best)
+            assert report.eligible_blocks == report.total_blocks - best_over
+            assert report.candidates_evaluated == 24
+
+    def test_popcount_matches_bin_count(self):
+        rng = np.random.default_rng(92)
+        edge = [0, 1, 1 << 63, (1 << 64) - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 0xFF00FF00FF00FF00]
+        words = np.concatenate(
+            [np.array(edge, dtype=np.uint64), rng.integers(0, 1 << 64, size=200, dtype=np.uint64, endpoint=False)]
+        )
+        assert permute._popcount(words).tolist() == [bin(int(x)).count("1") for x in words]
+
+
 class TestCheckPermutation:
     def test_identity(self):
         assert np.array_equal(identity_permutation(4), [0, 1, 2, 3])
