@@ -16,6 +16,7 @@ from .experiment import (
     ABLATION_LABELS,
     ExperimentConfig,
     load_config,
+    parse_config_value,
     run_ablation,
     run_experiment,
 )
@@ -111,25 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        if not args.strategy or not args.pattern:
-            raise UsageError("without --config, both --strategy and --pattern are required")
-        cfg = ExperimentConfig(
-            strategy=Strategy(args.strategy), pattern=NmPattern.parse(args.pattern)
-        )
-    if args.strategy:
-        cfg = replace(cfg, strategy=Strategy(args.strategy))
-    if args.pattern:
-        cfg = replace(cfg, pattern=NmPattern.parse(args.pattern))
-    if args.dataset:
-        cfg = replace(cfg, dataset=args.dataset)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
+    if not args.config and not (args.strategy and args.pattern):
+        raise UsageError("without --config, both --strategy and --pattern are required")
+    base = load_config(args.config) if args.config else None
+    flags = {"strategy": args.strategy, "pattern": args.pattern, "dataset": args.dataset, "out_dir": args.out}
+    overrides = {key: parse_config_value(key, text) for key, text in flags.items() if text}
+    cfg = replace(base, **overrides) if args.config else ExperimentConfig(**overrides)
     seed = _resolve_seed(args.seed, cfg.train.seed if args.config else None)
-    cfg = replace(cfg, train=replace(cfg.train, seed=seed))
-    return cfg
+    return replace(cfg, train=replace(cfg.train, seed=seed))
 
 
 def _cmd_mask(args) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -10,6 +11,7 @@ import numpy as np
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+_IDX_CONTENT = {IDX_IMAGE_MAGIC: "image", IDX_LABEL_MAGIC: "label"}
 
 
 class DatasetKind(Enum):
@@ -79,49 +81,53 @@ def _read_be32(data: bytes, offset: int, path, what: str) -> int:
     return struct.unpack_from(">i", data, offset)[0]
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Images from an IDX3 ubyte file as a (count, rows, cols) uint8 array."""
+def _load_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array of an IDX ubyte file that must start with ``magic``.
+
+    The magic's low byte is the rank: that many big-endian dimension sizes
+    follow it, then the data.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    magic = _read_be32(data, 0, path, "header")
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(f"{path}: magic number mismatch: expected {IDX_IMAGE_MAGIC}, got {magic}")
-    count = _read_be32(data, 4, path, "header")
-    rows = _read_be32(data, 8, path, "header")
-    cols = _read_be32(data, 12, path, "header")
-    expected = 16 + count * rows * cols
+    found = _read_be32(data, 0, path, "header")
+    if found != magic:
+        raise ValueError(f"{path}: magic number mismatch: expected {magic}, got {found}")
+    shape = tuple(_read_be32(data, 4 + 4 * i, path, "header") for i in range(magic & 0xFF))
+    offset = 4 + 4 * len(shape)
+    expected = offset + math.prod(shape)
     if len(data) != expected:
-        raise ValueError(f"{path}: truncated image data: expected {expected} bytes, file has {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows, cols)
+        raise ValueError(
+            f"{path}: truncated {_IDX_CONTENT[magic]} data: expected {expected} bytes, file has {len(data)}"
+        )
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(shape)
+
+
+def _save_idx(path, array: np.ndarray, magic: int) -> None:
+    """Write ``array`` as an IDX ubyte file under ``magic``, whose low byte is its rank."""
+    array = np.asarray(array, dtype=np.uint8)
+    if array.ndim != magic & 0xFF:
+        raise ValueError(f"IDX magic {magic} stores {magic & 0xFF}-D arrays, got shape {array.shape}")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + array.ndim}i", magic, *array.shape))
+        fh.write(array.tobytes())
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Images from an IDX3 ubyte file as a (count, rows, cols) uint8 array."""
+    return _load_idx(path, IDX_IMAGE_MAGIC)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Labels from an IDX1 ubyte file as a (count,) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = _read_be32(data, 0, path, "header")
-    if magic != IDX_LABEL_MAGIC:
-        raise ValueError(f"{path}: magic number mismatch: expected {IDX_LABEL_MAGIC}, got {magic}")
-    count = _read_be32(data, 4, path, "header")
-    expected = 8 + count
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated label data: expected {expected} bytes, file has {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8)
+    return _load_idx(path, IDX_LABEL_MAGIC)
 
 
 def save_idx_images(path, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(images.tobytes())
+    _save_idx(path, images, IDX_IMAGE_MAGIC)
 
 
 def save_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
+    _save_idx(path, labels, IDX_LABEL_MAGIC)
 
 
 def load_idx(images_path, labels_path) -> DatasetHandle:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .data import DatasetHandle, DatasetKind, generate_synthetic, load_idx
 from .masks import BinarizationCriterion, save_mask
 from .tensorops import NmPattern, save_matrix
 from .training import (
+    StepMetrics,
     Strategy,
     TrainConfig,
     TrainingTrace,
@@ -26,21 +29,17 @@ from .training import (
 )
 
 METRICS_VERSION_LINE = "# nm-sparse-kit metrics v1"
-METRICS_HEADER = "iteration,loss,grad_gap_l2,eligible_block_ratio,mask_flip_count"
-SUMMARY_HEADER = (
-    "strategy,pattern,criterion,final_train_accuracy,final_test_accuracy,"
-    "mean_grad_gap_l2,mean_eligible_block_ratio,search_seconds_total"
-)
+CONFIG_VERSION_LINE = "# nm-sparse-kit experiment config v1"
 
 
 @dataclass
 class ExperimentConfig:
     strategy: Strategy
     pattern: NmPattern
+    criterion: BinarizationCriterion = BinarizationCriterion.WEIGHT_MAGNITUDE
     dataset: str = "synthetic"
     out_dir: str = "runs/experiment"
     hidden_dims: tuple = (64,)
-    criterion: BinarizationCriterion = BinarizationCriterion.WEIGHT_MAGNITUDE
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=40, batch_size=32))
     # synthetic dataset knobs
     classes: int = 16
@@ -49,36 +48,45 @@ class ExperimentConfig:
     spread: float = 0.35
 
 
+_TRAIN_KEYS = get_type_hints(TrainConfig)
+# config.txt keys in file order with their types: the ExperimentConfig
+# fields, with the TrainConfig fields in place of ``train``
+_CONFIG_KEYS = {
+    key: kind
+    for name, hint in get_type_hints(ExperimentConfig).items()
+    for key, kind in (_TRAIN_KEYS.items() if name == "train" else [(name, hint)])
+}
+
+
+def _text(value) -> str:
+    """A config value or CSV cell: floats by repr (exact), None empty, enums by value,
+    tuples comma-joined."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_config_value(key: str, text: str):
+    """The value of config key ``key`` from its text, typed by its field."""
+    kind = _CONFIG_KEYS[key]
+    if kind is tuple:
+        return tuple(int(d) for d in text.split(",") if d.strip())
+    if kind is NmPattern:
+        return NmPattern.parse(text)
+    return kind(text)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    t = cfg.train
-    lines = [
-        "# nm-sparse-kit experiment config v1",
-        f"strategy = {cfg.strategy.value}",
-        f"pattern = {cfg.pattern}",
-        f"criterion = {cfg.criterion.value}",
-        f"dataset = {cfg.dataset}",
-        f"out_dir = {cfg.out_dir}",
-        "hidden_dims = " + ",".join(str(d) for d in cfg.hidden_dims),
-        f"epochs = {t.epochs}",
-        f"batch_size = {t.batch_size}",
-        f"delta_t = {t.delta_t}",
-        f"k = {t.k}",
-        f"warmup_epochs = {t.warmup_epochs}",
-        f"peak_lr = {t.peak_lr!r}",
-        f"momentum = {t.momentum!r}",
-        f"weight_decay = {t.weight_decay!r}",
-        f"seed = {t.seed}",
-        f"classes = {cfg.classes}",
-        f"dim = {cfg.dim}",
-        f"per_class = {cfg.per_class}",
-        f"spread = {cfg.spread!r}",
-    ]
+    lines = [CONFIG_VERSION_LINE]
+    for key in _CONFIG_KEYS:
+        lines.append(f"{key} = {_text(getattr(cfg.train if key in _TRAIN_KEYS else cfg, key))}")
     return "\n".join(lines) + "\n"
-
-
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_INT_KEYS = {"epochs", "batch_size", "delta_t", "k", "warmup_epochs", "seed", "classes", "dim", "per_class"}
-_FLOAT_KEYS = {"peak_lr", "momentum", "weight_decay", "spread"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -91,28 +99,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key == "strategy":
-            values[key] = Strategy(value)
-        elif key == "pattern":
-            values[key] = NmPattern.parse(value)
-        elif key == "criterion":
-            values[key] = BinarizationCriterion(value)
-        elif key == "hidden_dims":
-            values[key] = tuple(int(d) for d in value.split(",") if d.strip())
-        elif key in ("dataset", "out_dir"):
-            values[key] = value
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = parse_config_value(key, value)
     if "strategy" not in values or "pattern" not in values:
         raise ValueError("config must declare at least 'strategy' and 'pattern'")
-    train_kwargs = {k: values.pop(k) for k in list(values) if k in _TRAIN_KEYS}
-    train_kwargs.setdefault("epochs", 40)
-    train_kwargs.setdefault("batch_size", 32)
-    return ExperimentConfig(train=TrainConfig(**train_kwargs), **values)
+    train_values = {k: values.pop(k) for k in list(values) if k in _TRAIN_KEYS}
+    cfg = ExperimentConfig(**values)
+    return replace(cfg, train=replace(cfg.train, **train_values))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -155,12 +149,17 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetHandle:
     raise ValueError(f"unknown dataset descriptor {cfg.dataset!r} (expected 'synthetic' or 'idx:<dir>')")
 
 
+def csv_header(record_type) -> str:
+    """The CSV header of a record dataclass: its field names in declaration order."""
+    return ",".join(f.name for f in fields(record_type))
+
+
+def csv_row(record) -> str:
+    return ",".join(_text(getattr(record, f.name)) for f in fields(record))
+
+
 def write_metrics_csv(path, trace: TrainingTrace) -> None:
-    lines = [METRICS_VERSION_LINE, METRICS_HEADER]
-    for s in trace:
-        lines.append(
-            f"{s.iteration},{s.loss!r},{s.grad_gap_l2!r},{s.eligible_block_ratio!r},{s.mask_flip_count}"
-        )
+    lines = [METRICS_VERSION_LINE, csv_header(StepMetrics), *(csv_row(s) for s in trace)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -175,14 +174,6 @@ class ExperimentSummary:
     mean_grad_gap_l2: float
     mean_eligible_block_ratio: float
     search_seconds_total: float
-
-    def csv_row(self) -> str:
-        test = "" if self.final_test_accuracy is None else repr(self.final_test_accuracy)
-        return (
-            f"{self.strategy},{self.pattern},{self.criterion},"
-            f"{self.final_train_accuracy!r},{test},{self.mean_grad_gap_l2!r},"
-            f"{self.mean_eligible_block_ratio!r},{self.search_seconds_total!r}"
-        )
 
     def pretty(self, label: str | None = None) -> str:
         head = label if label is not None else f"{self.strategy} {self.pattern}"
@@ -235,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         search_seconds_total=trace.search_seconds_total,
     )
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n" + summary.csv_row() + "\n")
+        fh.write(csv_header(ExperimentSummary) + "\n" + csv_row(summary) + "\n")
     return summary
 
 

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .permute import check_permutation
-from .tensorops import NmPattern, format_matrix, matrix, parse_matrix
+from .tensorops import NmPattern, check_divisible, format_matrix, matrix, parse_matrix
 
 
 class MaskDirection(Enum):
@@ -100,11 +100,6 @@ class BlockViolation:
     limit: int
 
 
-def _check_divisible(dim: int, m: int, what: str) -> None:
-    if dim % m:
-        raise ValueError(f"{what} ({dim}) must be divisible by block size {m}")
-
-
 def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     """The n largest keys of each row of (blocks, m) keys, as 0/1 uint8.
 
@@ -143,7 +138,7 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     """
     w = matrix(w)
     rows, cols = w.shape
-    _check_divisible(cols, pattern.m, "matrix cols")
+    check_divisible(cols, pattern.m, "matrix cols")
     bits = _top_n(np.abs(w).reshape(-1, pattern.m), pattern.n)
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
 
@@ -167,7 +162,8 @@ def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     is multinomial sampling without replacement. Zero entries sit in a band
     far below any positive key with uniform noise, so all-zero blocks fall
     back to a uniform draw. A block whose total overflows is first divided
-    by its maximum; every other block's keys are unchanged by that.
+    by its maximum; every other block's keys are unchanged by that. An entry
+    whose share p underflows to zero takes log(x) - log(total) for log(p).
     """
     rows, cols = stat.shape
     blocked = stat.reshape(rows // m, m, cols)
@@ -177,7 +173,8 @@ def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
         blocked = blocked / np.where(np.isinf(totals), blocked.max(axis=1, keepdims=True), 1.0)
         totals = blocked.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(blocked > 0, np.log(blocked / np.where(totals > 0, totals, 1.0)), -np.inf)
+        ratio = blocked / totals
+        logp = np.where(ratio > 0, np.log(ratio), np.log(blocked) - np.log(totals))
         gumbel = -np.log(-np.log(rng.random(blocked.shape)))
     keys = np.where(blocked > 0, logp + gumbel, -1e12 + rng.random(blocked.shape))
     return keys.reshape(rows, cols)
@@ -205,7 +202,7 @@ def backward_mask(
     w = matrix(w)
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    _check_divisible(rows, m, "matrix rows")
+    check_divisible(rows, m, "matrix rows")
     if fwd.direction is not MaskDirection.FORWARD:
         raise ValueError(f"backward_mask needs a forward mask, got {fwd.direction.value}")
     if fwd.shape != w.shape:
@@ -243,20 +240,16 @@ def backward_mask(
 
 @lru_cache(maxsize=None)
 def _feasible_tile_masks(n: int, m: int) -> np.ndarray:
-    """All m x m binary masks with every row and column sum <= n, as (K, m, m)."""
-    row_patterns = [p for p in itertools.product((0, 1), repeat=m) if sum(p) <= n]
-    masks = []
-    for rows in itertools.product(row_patterns, repeat=m):
-        tile = np.array(rows, dtype=np.uint8)
-        if (tile.sum(axis=0) <= n).all():
-            masks.append(tile)
-    return np.stack(masks)
+    """All m x m binary masks with every row and column sum <= n, as (K, m * m) float64.
 
-
-def _exact_tile(abs_tile: np.ndarray, n: int, m: int) -> np.ndarray:
-    candidates = _feasible_tile_masks(n, m)
-    scores = candidates.reshape(len(candidates), -1).astype(np.float64) @ abs_tile.ravel()
-    return candidates[int(np.argmax(scores))]
+    Tiles are stacks of m feasible rows in ``itertools.product`` order; the
+    table is built once per pattern, in the dtype it is scored in.
+    """
+    row_patterns = np.array([p for p in itertools.product((0, 1), repeat=m) if sum(p) <= n], dtype=np.float64)
+    tiles = row_patterns[np.indices((len(row_patterns),) * m).reshape(m, -1).T]
+    table = tiles[(tiles.sum(axis=1) <= n).all(axis=1)].reshape(-1, m * m)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -312,8 +305,8 @@ def transposable_mask(
     w = matrix(w)
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    _check_divisible(rows, m, "matrix rows")
-    _check_divisible(cols, m, "matrix cols")
+    check_divisible(rows, m, "matrix rows")
+    check_divisible(cols, m, "matrix cols")
     if method is TransposableMethod.EXACT and m > 4:
         raise ValueError(
             f"exact transposable search enumerates all tile masks and is only "
@@ -322,7 +315,9 @@ def transposable_mask(
     grid = (rows // m, cols // m)
     tiles = np.abs(w).reshape(grid[0], m, grid[1], m).swapaxes(1, 2).reshape(-1, m, m)
     if method is TransposableMethod.EXACT:
-        tile_bits = np.stack([_exact_tile(tile, n, m) for tile in tiles])
+        table = _feasible_tile_masks(n, m)
+        best = [np.argmax(table @ tile.ravel()) for tile in tiles]
+        tile_bits = table[best].reshape(-1, m, m).astype(np.uint8)
     else:
         tile_bits = _greedy_tiles(tiles, n, m)
     bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)
@@ -338,8 +333,8 @@ def tile_kept_magnitudes(w: np.ndarray, mask: Mask, pattern: NmPattern) -> np.nd
     """Kept |w| per M x M tile, as a (rows/M, cols/M) grid."""
     m = pattern.m
     rows, cols = w.shape
-    _check_divisible(rows, m, "matrix rows")
-    _check_divisible(cols, m, "matrix cols")
+    check_divisible(rows, m, "matrix rows")
+    check_divisible(cols, m, "matrix cols")
     kept = np.abs(mask.apply(w))
     return kept.reshape(rows // m, m, cols // m, m).sum(axis=(1, 3))
 

@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .tensorops import NmPattern, matrix
+from .tensorops import NmPattern, check_divisible, matrix
 
 # brute force enumerates rows! candidates; 8! = 40320 is the practical ceiling
 BRUTE_FORCE_MAX_ROWS = 8
@@ -56,8 +56,7 @@ def count_eligible_blocks(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int
     masked_w = matrix(masked_w)
     n, m = pattern.n, pattern.m
     rows, cols = masked_w.shape
-    if rows % m:
-        raise ValueError(f"matrix rows ({rows}) must be divisible by block size {m}")
+    check_divisible(rows, m, "matrix rows")
     nonzeros = (masked_w != 0).reshape(rows // m, m, cols).sum(axis=1)
     return int((nonzeros <= n).sum()), int(nonzeros.size)
 
@@ -159,8 +158,7 @@ def search_permutation(
     masked_w = matrix(masked_w)
     n, m = pattern.n, pattern.m
     rows, cols = masked_w.shape
-    if rows % m:
-        raise ValueError(f"matrix rows ({rows}) must be divisible by block size {m}")
+    check_divisible(rows, m, "matrix rows")
     current = identity_permutation(rows) if current is None else check_permutation(current, rows)
 
     start = time.perf_counter()

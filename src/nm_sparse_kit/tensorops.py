@@ -29,6 +29,12 @@ def matrix(values) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def check_divisible(dim: int, m: int, what: str) -> None:
+    """Raise unless ``dim`` splits into whole blocks of ``m``."""
+    if dim % m:
+        raise ValueError(f"needs {what} divisible by {m}, got {dim}")
+
+
 @dataclass(frozen=True)
 class NmPattern:
     """An N:M sparsity pattern: keep at most ``n`` of every ``m`` consecutive entries."""

@@ -114,7 +114,6 @@ class TrainingTrace:
 
     steps: list[StepMetrics] = field(default_factory=list)
     search_seconds_total: float = 0.0
-    searches: int = 0
 
     def __iter__(self):
         return iter(self.steps)
@@ -133,16 +132,10 @@ class SparseLinearLayer:
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
         self.w = matrix(w)
-        rows, cols = self.w.shape
-        m = pattern.m
-        if strategy in (Strategy.VANILLA, Strategy.BI_MASK, Strategy.TRANSPOSABLE) and cols % m:
-            raise ValueError(f"{strategy.value} layer needs cols divisible by {m}, got {cols}")
-        if strategy in (Strategy.BI_MASK, Strategy.TRANSPOSABLE) and rows % m:
-            raise ValueError(f"{strategy.value} layer needs rows divisible by {m}, got {rows}")
         self.pattern = pattern
         self.strategy = strategy
         self.salt = salt
-        self.perm = identity_permutation(rows)
+        self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
         self.fwd_mask: Mask | None = _new_forward_mask(self)
         self.bwd_mask: Mask | None = None
@@ -382,9 +375,7 @@ def train(
                 flips += stats.mask_flip_count
                 eligible += stats.eligible_blocks
                 total += stats.total_blocks
-                if stats.searched:
-                    trace.searches += 1
-                    trace.search_seconds_total += stats.search_seconds
+                trace.search_seconds_total += stats.search_seconds
 
             # overflow here is the divergence guard's job, not a warning's
             with np.errstate(over="ignore", invalid="ignore"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nm_sparse_kit.cli import main
+from nm_sparse_kit.data import save_idx_images, save_idx_labels
 from nm_sparse_kit.masks import load_mask, validate_mask
 from nm_sparse_kit.tensorops import save_matrix
 
@@ -163,6 +164,21 @@ class TestTrainCommand:
         cfg.write_text(text.replace("warmup_epochs = 1", "warmup_epochs = 0"))
         assert main(["train", "--config", str(cfg)]) == 3
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
+    @pytest.mark.parametrize("keep", [6, -1])
+    def test_truncated_idx_pair_exit_2(self, tmp_path, capsys, name, keep):
+        root = tmp_path / "idx"
+        root.mkdir()
+        save_idx_images(root / "train-images-idx3-ubyte", np.zeros((4, 2, 4), dtype=np.uint8))
+        save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1, 0, 1], dtype=np.uint8))
+        path = root / name
+        path.write_bytes(path.read_bytes()[:keep])
+        rc = main(["train", "--strategy", "vanilla", "--pattern", "2:4", "--dataset", f"idx:{root}",
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "truncated" in err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["train", "--nope"]) == 1

@@ -107,6 +107,23 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated image data: expected 24 bytes"):
             load_idx_images(path)
 
+    def test_truncated_label_data(self, tmp_path):
+        path = tmp_path / "trunc"
+        path.write_bytes(struct.pack(">ii", IDX_LABEL_MAGIC, 3) + b"\x00")
+        with pytest.raises(ValueError, match="truncated label data: expected 11 bytes, file has 9"):
+            load_idx_labels(path)
+
+    def test_header_follows_the_magic_rank(self, tmp_path):
+        images_path, labels_path, _, _ = make_fixture(tmp_path, count=4, rows=3, cols=2)
+        assert images_path.read_bytes()[:16] == struct.pack(">iiii", IDX_IMAGE_MAGIC, 4, 3, 2)
+        assert labels_path.read_bytes()[:8] == struct.pack(">ii", IDX_LABEL_MAGIC, 4)
+
+    def test_writer_rejects_the_wrong_rank(self, tmp_path):
+        with pytest.raises(ValueError, match="3-D"):
+            save_idx_images(tmp_path / "flat", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="1-D"):
+            save_idx_labels(tmp_path / "grid", np.zeros((2, 3)))
+
     def test_count_mismatch(self, tmp_path):
         images_path, labels_path, _, _ = make_fixture(tmp_path)
         bad_labels = tmp_path / "bad_labels"

@@ -1,10 +1,16 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nm_sparse_kit.experiment import (
     ABLATION_LABELS,
     ExperimentConfig,
+    ExperimentSummary,
     build_dataset,
+    csv_row,
     load_config,
     parse_config,
     run_ablation,
@@ -63,6 +69,104 @@ class TestConfigRoundTrip:
     def test_criterion_key(self):
         cfg = parse_config("strategy = bimask\npattern = 2:4\ncriterion = multinomial\n")
         assert cfg.criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING
+
+    def test_serialized_text_is_pinned(self):
+        # keys follow the record fields in declaration order, train's in place
+        cfg = ExperimentConfig(
+            Strategy.BI_MASK,
+            NmPattern(1, 8),
+            criterion=BinarizationCriterion.RANDOM,
+            dataset="idx:data/mnist",
+            out_dir="runs/pinned",
+            hidden_dims=(32, 16),
+            train=TrainConfig(epochs=7, batch_size=8, delta_t=20, k=30, warmup_epochs=2,
+                              peak_lr=0.05, momentum=0.5, weight_decay=1e-05, seed=11),
+            classes=10,
+            dim=24,
+            per_class=5,
+            spread=1.5,
+        )
+        assert serialize_config(cfg) == (
+            "# nm-sparse-kit experiment config v1\n"
+            "strategy = bimask\n"
+            "pattern = 1:8\n"
+            "criterion = random\n"
+            "dataset = idx:data/mnist\n"
+            "out_dir = runs/pinned\n"
+            "hidden_dims = 32,16\n"
+            "epochs = 7\n"
+            "batch_size = 8\n"
+            "delta_t = 20\n"
+            "k = 30\n"
+            "warmup_epochs = 2\n"
+            "peak_lr = 0.05\n"
+            "momentum = 0.5\n"
+            "weight_decay = 1e-05\n"
+            "seed = 11\n"
+            "classes = 10\n"
+            "dim = 24\n"
+            "per_class = 5\n"
+            "spread = 1.5\n"
+        )
+
+    def test_defaults_fill_missing_keys(self):
+        cfg = parse_config("strategy = dense\npattern = 1:2\n")
+        assert cfg == ExperimentConfig(Strategy.DENSE, NmPattern(1, 2))
+        assert (cfg.train.epochs, cfg.train.batch_size) == (40, 32)
+
+
+PATTERNS = st.integers(2, 64).flatmap(lambda m: st.integers(1, m).map(lambda n: NmPattern(n, m)))
+# values that survive the line format: no comment marker, no outer whitespace
+TEXTS = st.text(string.ascii_letters + string.digits + "/._-:= ", min_size=1).filter(lambda t: t == t.strip())
+COUNTS = st.integers(1, 2**63)
+
+
+def finite_floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+CONFIGS = st.builds(
+    ExperimentConfig,
+    strategy=st.sampled_from(Strategy),
+    pattern=PATTERNS,
+    criterion=st.sampled_from(BinarizationCriterion),
+    dataset=TEXTS,
+    out_dir=TEXTS,
+    hidden_dims=st.lists(st.integers(1, 10**6), max_size=4).map(tuple),
+    train=st.builds(
+        TrainConfig,
+        epochs=COUNTS,
+        batch_size=COUNTS,
+        delta_t=COUNTS,
+        k=COUNTS,
+        warmup_epochs=st.integers(0, 2**63),
+        peak_lr=finite_floats(min_value=0.0, exclude_min=True),
+        momentum=finite_floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        weight_decay=finite_floats(min_value=0.0),
+        seed=st.integers(0, 2**63),
+    ),
+    classes=st.integers(-(2**63), 2**63),
+    dim=st.integers(-(2**63), 2**63),
+    per_class=st.integers(-(2**63), 2**63),
+    spread=finite_floats(),
+)
+
+
+class TestConfigRoundTripProperties:
+    @given(CONFIGS)
+    def test_parse_of_serialize_is_identity(self, cfg):
+        text = serialize_config(cfg)
+        back = parse_config(text)
+        assert back == cfg
+        assert serialize_config(back) == text
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.7976931348623157e308, -1e308]
+    )
+    def test_extreme_floats_are_exact(self, value):
+        cfg = ExperimentConfig(Strategy.VANILLA, NmPattern(2, 4), spread=value)
+        back = parse_config(serialize_config(cfg)).spread
+        assert np.float64(back).tobytes() == np.float64(value).tobytes()
 
 
 class TestBuildDataset:
@@ -129,6 +233,26 @@ class TestRunExperiment:
         run_experiment(small_config(a))
         run_experiment(small_config(b))
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_csv_header_lines_are_pinned(self, tmp_path):
+        # columns are the record fields in declaration order
+        out = tmp_path / "run"
+        run_experiment(small_config(out))
+        metrics = (out / "metrics.csv").read_text().splitlines()
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert metrics[:2] == [
+            "# nm-sparse-kit metrics v1",
+            "iteration,loss,grad_gap_l2,eligible_block_ratio,mask_flip_count",
+        ]
+        assert summary[0] == (
+            "strategy,pattern,criterion,final_train_accuracy,final_test_accuracy,"
+            "mean_grad_gap_l2,mean_eligible_block_ratio,search_seconds_total"
+        )
+        assert len(summary) == 2
+
+    def test_csv_row_cells(self):
+        summary = ExperimentSummary("bimask", "2:4", "random", 1.0, None, 0.1, 2.5e-320, 3.0)
+        assert csv_row(summary) == "bimask,2:4,random,1.0,,0.1,2.5e-320,3.0"
 
     def test_dense_strategy_smoke(self, tmp_path):
         summary = run_experiment(small_config(tmp_path / "dense", strategy=Strategy.DENSE))

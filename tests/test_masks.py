@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from nm_sparse_kit.masks import (
     transposable_mask,
     validate_mask,
 )
-from nm_sparse_kit.masks import _block_keep_positions, _sampling_keys, _top_n, _transposable_count_dp
+from nm_sparse_kit.masks import (
+    _block_keep_positions,
+    _feasible_tile_masks,
+    _sampling_keys,
+    _top_n,
+    _transposable_count_dp,
+)
 from nm_sparse_kit.tensorops import NmPattern
 
 P24 = NmPattern(2, 4)
@@ -284,8 +291,8 @@ NEAR_MAX = 1.7e308
 def kernel_cases(pattern, seed):
     """Weights with ties, zero and constant blocks, and extreme magnitudes.
 
-    The 1e300 / 1e-320 mix makes multinomial keys of -inf: a tiny entry's
-    share of its column block underflows to zero.
+    In the 1e300 / 1e-320 mix a tiny entry's share of its column block
+    underflows to zero.
     """
     m = pattern.m
     rng = np.random.default_rng(seed)
@@ -342,11 +349,6 @@ class TestTopNKernel:
                     _block_keep_positions(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m)
                 )
 
-    def test_multinomial_keys_contain_minus_inf(self):
-        w = np.where(np.arange(16).reshape(4, 4) % 3 == 0, 1e300, 1e-320)
-        keys = _sampling_keys(np.abs(w), 4, np.random.default_rng(0))
-        assert np.isneginf(keys).any()
-
 
 class TestSamplingKeys:
     def test_overflowing_blocks_keep_every_positive_entry(self):
@@ -360,6 +362,28 @@ class TestSamplingKeys:
         fits = np.minimum(2, (fwd.bits.reshape(2, 4, 8).sum(axis=1))).sum()
         assert sampled.bits.sum() == by_weight.bits.sum() == fits
         assert np.isfinite(_sampling_keys(np.abs(fwd.apply(w)), 4, np.random.default_rng(1))).all()
+
+    def test_underflowing_shares_keep_finite_keys(self):
+        # a 1e-320 entry's share of a 1e300 block underflows to zero; its key
+        # is log(x) - log(total) instead of -inf, and every other key is unchanged
+        stat = np.where(np.arange(16).reshape(4, 4) % 3 == 0, 1e300, 1e-320)
+        keys = _sampling_keys(stat, 4, np.random.default_rng(0))
+        old = sampling_keys_unscaled(stat, 4, np.random.default_rng(0))
+        assert np.isfinite(keys).all()
+        under = np.isneginf(old)
+        assert under.any()
+        assert np.array_equal(keys[~under], old[~under])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_underflowing_share_is_kept_like_weight_magnitude(self, seed):
+        # column 0 of the forward-masked weights holds 1e10 and 1e-320
+        w = np.array([[1e10, 1, 0, 0], [1e-320, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+        fwd = forward_mask(w, P24)
+        assert fwd.bits[:, 0].tolist() == [1, 1, 0, 0]
+        by_weight = backward_mask(w, fwd, None, P24)
+        sampled = backward_mask(w, fwd, None, P24, BinarizationCriterion.MULTINOMIAL_SAMPLING, seed=seed)
+        assert by_weight.bits[:, 0].tolist() == [1, 1, 0, 0]
+        assert sampled.bits[:, 0].tolist() == [1, 1, 0, 0]
 
     def test_finite_totals_give_unchanged_keys(self):
         rng = np.random.default_rng(8)
@@ -489,7 +513,45 @@ def greedy_cases(pattern, seed):
         yield np.where(rng.random(shape) < 0.5, 1e300, 1e-300) * np.sign(w)
 
 
+@lru_cache(maxsize=None)
+def tile_candidates_oracle(n, m):
+    """Feasible m x m tiles built one candidate array at a time, in product order."""
+    row_patterns = [p for p in itertools.product((0, 1), repeat=m) if sum(p) <= n]
+    tiles = [np.array(rows, dtype=np.uint8) for rows in itertools.product(row_patterns, repeat=m)]
+    return np.stack([t for t in tiles if (t.sum(axis=0) <= n).all()])
+
+
+def exact_mask_oracle(w, pattern):
+    """Every tile scored on its own against the candidates; the first best wins."""
+    n, m = pattern.n, pattern.m
+    candidates = tile_candidates_oracle(n, m)
+    rows, cols = w.shape
+    bits = np.zeros((rows, cols), dtype=np.uint8)
+    for i in range(0, rows, m):
+        for j in range(0, cols, m):
+            tile = np.abs(w[i : i + m, j : j + m]).ravel()
+            scores = candidates.reshape(len(candidates), -1).astype(np.float64) @ tile
+            bits[i : i + m, j : j + m] = candidates[int(np.argmax(scores))]
+    return bits
+
+
+EXACT_PATTERNS = [NmPattern(n, m) for m in (2, 3, 4) for n in range(1, m + 1)]
+
+
 class TestTransposableMask:
+    @pytest.mark.parametrize("pattern", EXACT_PATTERNS, ids=str)
+    def test_feasible_table_in_candidate_order(self, pattern):
+        n, m = pattern.n, pattern.m
+        table = _feasible_tile_masks(n, m)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, tile_candidates_oracle(n, m).reshape(-1, m * m))
+
+    @pytest.mark.parametrize("pattern", EXACT_PATTERNS, ids=str)
+    def test_exact_matches_per_tile_oracle(self, pattern):
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 2):
+            mask = transposable_mask(w, pattern, TransposableMethod.EXACT)
+            assert np.array_equal(mask.bits, exact_mask_oracle(w, pattern))
+
     def test_identity_support_is_kept(self):
         w = np.eye(4)
         mask = transposable_mask(w, P24, TransposableMethod.EXACT)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nm_sparse_kit.tensorops import (
     NmPattern,
+    check_divisible,
     format_matrix,
     load_matrix,
     matrix,
@@ -56,6 +60,17 @@ class TestSerialization:
         back = load_matrix(path)
         assert back.tobytes() == a.tobytes()
 
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324,
+                                       2.2250738585072009e-308, 1e-310, 0.0, -0.0])
+    def test_extreme_values_round_trip_bit_exact(self, value):
+        a = np.array([[value, -value, 1.0]])
+        assert parse_matrix(format_matrix(a)).tobytes() == a.tobytes()
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_property(self, a):
+        assert parse_matrix(format_matrix(a)).tobytes() == a.tobytes()
+
     def test_format_header(self):
         text = format_matrix(matrix([[1.5, -2.0]]))
         lines = text.splitlines()
@@ -69,3 +84,10 @@ class TestSerialization:
     def test_parse_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="expected 2"):
             parse_matrix("1 2\n1 2 3\n")
+
+
+class TestCheckDivisible:
+    def test_message_names_the_dimension(self):
+        check_divisible(8, 4, "matrix cols")
+        with pytest.raises(ValueError, match="^needs matrix cols divisible by 4, got 6$"):
+            check_divisible(6, 4, "matrix cols")
