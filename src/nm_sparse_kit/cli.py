@@ -19,6 +19,7 @@ from .experiment import (
     parse_config_value,
     run_ablation,
     run_experiment,
+    serialize_config,
 )
 from .masks import (
     BinarizationCriterion,
@@ -119,7 +120,12 @@ def _experiment_config(args) -> ExperimentConfig:
     overrides = {key: parse_config_value(key, text) for key, text in flags.items() if text}
     cfg = replace(base, **overrides) if args.config else ExperimentConfig(**overrides)
     seed = _resolve_seed(args.seed, cfg.train.seed if args.config else None)
-    return replace(cfg, train=replace(cfg.train, seed=seed))
+    cfg = replace(cfg, train=replace(cfg.train, seed=seed))
+    try:
+        serialize_config(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
 
 
 def _cmd_mask(args) -> int:

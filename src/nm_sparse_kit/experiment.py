@@ -83,9 +83,17 @@ def parse_config_value(key: str, text: str):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
+    """The config.txt text of ``cfg``; a value holding ``#`` raises ValueError.
+
+    ``#`` starts a comment when the file is parsed, so such a value could not
+    be read back.
+    """
     lines = [CONFIG_VERSION_LINE]
     for key in _CONFIG_KEYS:
-        lines.append(f"{key} = {_text(getattr(cfg.train if key in _TRAIN_KEYS else cfg, key))}")
+        text = _text(getattr(cfg.train if key in _TRAIN_KEYS else cfg, key))
+        if "#" in text:
+            raise ValueError(f"config key {key!r} cannot hold '#', which starts a comment: {text!r}")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -192,6 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     Writes metrics.csv, the final masked weights and masks (text formats),
     the resolved config, and summary.csv into cfg.out_dir.
     """
+    serialize_config(cfg)  # a config that config.txt cannot record fails before training
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         data = build_dataset(cfg)

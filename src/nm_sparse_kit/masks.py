@@ -64,7 +64,9 @@ class Mask:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ValueError(f"mask bits must form a non-empty 2-D matrix, got shape {b.shape}")
-        if not ((b == 0) | (b == 1)).all():
+        # uint8, the dtype every generator emits, has no negatives to rule out
+        binary = b.max() <= 1 if b.dtype == np.uint8 else ((b == 0) | (b == 1)).all()
+        if not binary:
             raise ValueError("mask bits must all be 0 or 1")
         m = self.pattern.m
         rows, cols = b.shape
@@ -163,20 +165,24 @@ def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     far below any positive key with uniform noise, so all-zero blocks fall
     back to a uniform draw. A block whose total overflows is first divided
     by its maximum; every other block's keys are unchanged by that. An entry
-    whose share p underflows to zero takes log(x) - log(total) for log(p).
+    is positive by its unscaled statistic x, and one whose share p
+    underflows to zero takes log(x) - log(scale) - log(total / scale) for
+    log(p), where scale is the block's divisor (1 unless its total overflows).
     """
     rows, cols = stat.shape
-    blocked = stat.reshape(rows // m, m, cols)
+    raw = stat.reshape(rows // m, m, cols)
     with np.errstate(over="ignore"):
-        totals = blocked.sum(axis=1, keepdims=True)
+        totals = raw.sum(axis=1, keepdims=True)
+    blocked, log_scale = raw, 0.0
     if np.isinf(totals).any():
-        blocked = blocked / np.where(np.isinf(totals), blocked.max(axis=1, keepdims=True), 1.0)
+        scale = np.where(np.isinf(totals), raw.max(axis=1, keepdims=True), 1.0)
+        blocked, log_scale = raw / scale, np.log(scale)
         totals = blocked.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = blocked / totals
-        logp = np.where(ratio > 0, np.log(ratio), np.log(blocked) - np.log(totals))
-        gumbel = -np.log(-np.log(rng.random(blocked.shape)))
-    keys = np.where(blocked > 0, logp + gumbel, -1e12 + rng.random(blocked.shape))
+        logp = np.where(ratio > 0, np.log(ratio), np.log(raw) - log_scale - np.log(totals))
+        gumbel = -np.log(-np.log(rng.random(raw.shape)))
+    keys = np.where(raw > 0, logp + gumbel, -1e12 + rng.random(raw.shape))
     return keys.reshape(rows, cols)
 
 
@@ -316,6 +322,9 @@ def transposable_mask(
     tiles = np.abs(w).reshape(grid[0], m, grid[1], m).swapaxes(1, 2).reshape(-1, m, m)
     if method is TransposableMethod.EXACT:
         table = _feasible_tile_masks(n, m)
+        # a power-of-two scale to a tile maximum below 1 is exact, and it keeps
+        # the n * m-term candidate sums finite near the float maximum
+        tiles = np.ldexp(tiles, -np.frexp(tiles.max(axis=(1, 2)))[1][:, None, None])
         best = [np.argmax(table @ tile.ravel()) for tile in tiles]
         tile_bits = table[best].reshape(-1, m, m).astype(np.uint8)
     else:

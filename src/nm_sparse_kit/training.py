@@ -128,6 +128,11 @@ class SparseLinearLayer:
     For the bi-mask strategy the layer also carries the current row
     permutation and the backward mask generated from it; the backward mask is
     indexed in the permuted row order.
+
+    The masked weights, their permuted rows and the backward-product weights
+    are built at most once per mask refresh and shared by every product and
+    count that reads them. Assigning ``w`` drops them; mutating ``w`` in
+    place does not, so always assign new weights.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
@@ -144,14 +149,49 @@ class SparseLinearLayer:
             _rebuild_backward_mask(self, BinarizationCriterion.WEIGHT_MAGNITUDE, seed=None)
 
     @property
+    def w(self) -> np.ndarray:
+        return self._w
+
+    @w.setter
+    def w(self, value: np.ndarray) -> None:
+        self._w = value
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        self._masked = self._masked_perm = self._bwd_weights = None
+
+    @property
     def shape(self):
         return self.w.shape
 
     def masked_weights(self) -> np.ndarray:
-        """The effective forward weights W (x) B (plain W on the dense path)."""
-        if self.strategy is Strategy.DENSE:
+        """The effective forward weights W (x) B (plain W on the dense path).
+
+        On a masked layer the array is cached until the next refresh or
+        weight assignment, and read-only.
+        """
+        if self.fwd_mask is None:
             return self.w
-        return self.fwd_mask.apply(self.w)
+        if self._masked is None:
+            self._masked = _read_only(self.fwd_mask.apply(self.w))
+        return self._masked
+
+    def _permuted_masked(self) -> np.ndarray:
+        """Rows of the masked weights in the backward mask's permuted order."""
+        if self._masked_perm is None:
+            self._masked_perm = _read_only(self.masked_weights()[self._bwd_perm])
+        return self._masked_perm
+
+    def _backward_weights(self) -> np.ndarray:
+        """The bi-mask backward-product weights, rows in permuted order."""
+        if self._bwd_weights is None:
+            self._bwd_weights = _read_only(self.bwd_mask.bits * self._permuted_masked())
+        return self._bwd_weights
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached on the layer and shared by every reader
+    return a
 
 
 def sparse_forward(x: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
@@ -181,7 +221,7 @@ def backward_bimask(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
         raise ValueError(f"layer emits {layer.w.shape[0]}-dim outputs, got gradient {g_y.shape[0]}")
     if layer._bwd_perm is None or not np.array_equal(layer.perm, layer._bwd_perm):
         raise StaleMaskError("backward mask is stale: permutation changed without a mask refresh")
-    return (layer.bwd_mask.bits * layer.w[layer.perm]).T @ g_y[layer.perm]
+    return layer._backward_weights().T @ g_y[layer.perm]
 
 
 def weight_gradient(g_y: np.ndarray, x: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
@@ -230,6 +270,9 @@ def _rebuild_backward_mask(
     layer._bwd_perm = layer.perm.copy()
 
 
+_SEEDED_CRITERIA = (BinarizationCriterion.MULTINOMIAL_SAMPLING, BinarizationCriterion.RANDOM)
+
+
 def refresh_masks(
     layer: SparseLinearLayer,
     iteration: int,
@@ -245,27 +288,35 @@ def refresh_masks(
     (config.seed, iteration, layer.salt).
     """
     old_masks = (layer.fwd_mask, layer.bwd_mask)
-    seeds = np.random.SeedSequence([config.seed, iteration, layer.salt]).generate_state(2)
     layer.fwd_mask = _new_forward_mask(layer)
+    layer._drop_derived()
 
     stats = RefreshStats(mask_flip_count=0, eligible_blocks=0, total_blocks=0)
     if layer.strategy is Strategy.BI_MASK:
-        masked = layer.fwd_mask.apply(layer.w)
-        if iteration % config.delta_t == 0:
+        masked = layer.masked_weights()
+        search = iteration % config.delta_t == 0
+        # a seed sequence costs about a tenth of a small layer's refresh, so
+        # only the search and the sampling criteria, which read one, draw it
+        seeds = (
+            np.random.SeedSequence([config.seed, iteration, layer.salt]).generate_state(2).tolist()
+            if search or criterion in _SEEDED_CRITERIA
+            else [None, None]
+        )
+        if search:
             report = search_permutation(
-                masked, layer.pattern, config.k, current=layer.perm, seed=int(seeds[0])
+                masked, layer.pattern, config.k, current=layer.perm, seed=seeds[0]
             )
             layer.perm = report.chosen
             stats.searched = True
             stats.search_seconds = report.elapsed
-        _rebuild_backward_mask(layer, criterion, int(seeds[1]))
+        _rebuild_backward_mask(layer, criterion, seeds[1])
         stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
-            masked[layer.perm], layer.pattern
+            layer._permuted_masked(), layer.pattern
         )
 
     for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
         if old is not None:
-            stats.mask_flip_count += int(np.sum(new.bits != old.bits))
+            stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
     return stats
 
 

@@ -1,0 +1,55 @@
+"""The benchmark reaches the library through module bindings patched by name.
+
+``perfbench/harness.py`` wraps attributes such as ``training.forward_mask``
+and ``training.count_eligible_blocks``. A refactor that drops one of those
+names would make the traced benchmark run crash, and one that stops calling
+through them would let masks escape the benchmark's checks. These tests read
+the harness as it is and never change it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from nm_sparse_kit.data import generate_synthetic
+from nm_sparse_kit.tensorops import NmPattern
+from nm_sparse_kit.training import Strategy, TrainConfig, init_layers, train
+
+HARNESS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves(harness):
+    for module, attr, _ in harness.TRACED_BINDINGS:
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+def test_every_checked_binding_resolves(harness):
+    for module, attr, _ in harness.Checker().bindings():
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "strategy, checks_per_layer_refresh",
+    # a forward or transposable mask is one check; a backward mask two: its
+    # block budgets and its containment in the permuted forward mask
+    [(Strategy.VANILLA, 1), (Strategy.TRANSPOSABLE, 1), (Strategy.BI_MASK, 3)],
+)
+def test_checker_sees_every_mask_train_makes(harness, strategy, checks_per_layer_refresh):
+    data = generate_synthetic(classes=4, dim=8, per_class=16, spread=0.3, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=0, seed=1)
+    checker = harness.Checker()
+    with harness.patched(checker.bindings()):
+        layers = init_layers([8, 8, 4], NmPattern(2, 4), strategy, seed=1)
+        _, trace = train(layers, data, cfg)
+    # one set of masks at construction, then one per layer per iteration
+    assert checker.checks == len(layers) * (len(trace) + 1) * checks_per_layer_refresh
+    assert checker.failures == []

@@ -157,6 +157,13 @@ class TestTrainCommand:
         assert main(["train"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_comment_marker_in_out_dir_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "#1"
+        assert main(["train", "--strategy", "dense", "--pattern", "2:4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "'out_dir'" in err
+        assert not out.exists()
+
     def test_divergence_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         write_config(cfg, tmp_path / "run", extra="")

@@ -109,6 +109,14 @@ class TestConfigRoundTrip:
             "spread = 1.5\n"
         )
 
+    def test_comment_marker_in_value_rejected(self, tmp_path):
+        cfg = ExperimentConfig(Strategy.DENSE, NmPattern(2, 4), out_dir="runs/#1")
+        with pytest.raises(ValueError, match="'out_dir' cannot hold '#'"):
+            serialize_config(cfg)
+        with pytest.raises(ValueError, match="'out_dir' cannot hold '#'"):
+            run_experiment(small_config(tmp_path / "#1"))
+        assert not (tmp_path / "#1").exists()
+
     def test_defaults_fill_missing_keys(self):
         cfg = parse_config("strategy = dense\npattern = 1:2\n")
         assert cfg == ExperimentConfig(Strategy.DENSE, NmPattern(1, 2))
@@ -116,8 +124,8 @@ class TestConfigRoundTrip:
 
 
 PATTERNS = st.integers(2, 64).flatmap(lambda m: st.integers(1, m).map(lambda n: NmPattern(n, m)))
-# values that survive the line format: no comment marker, no outer whitespace
-TEXTS = st.text(string.ascii_letters + string.digits + "/._-:= ", min_size=1).filter(lambda t: t == t.strip())
+# values without outer whitespace; serialize_config rejects a comment marker
+TEXTS = st.text(string.ascii_letters + string.digits + "/._-:=# ", min_size=1).filter(lambda t: t == t.strip())
 COUNTS = st.integers(1, 2**63)
 
 
@@ -155,6 +163,12 @@ CONFIGS = st.builds(
 class TestConfigRoundTripProperties:
     @given(CONFIGS)
     def test_parse_of_serialize_is_identity(self, cfg):
+        marked = [key for key in ("dataset", "out_dir") if "#" in getattr(cfg, key)]
+        if marked:
+            # the first offending key in file order is the one named
+            with pytest.raises(ValueError, match=f"config key '{marked[0]}' cannot hold '#'"):
+                serialize_config(cfg)
+            return
         text = serialize_config(cfg)
         back = parse_config(text)
         assert back == cfg

@@ -385,6 +385,18 @@ class TestSamplingKeys:
         assert by_weight.bits[:, 0].tolist() == [1, 1, 0, 0]
         assert sampled.bits[:, 0].tolist() == [1, 1, 0, 0]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tiny_entry_in_overflowing_block_is_kept(self, seed):
+        # column 0 holds 1.7e308, 1.7e308, 1e-300, 0: the block total
+        # overflows, and 1e-300 / 1.7e308 rounds to 0 after the rescale
+        w = np.array([[NEAR_MAX, 1, 1, 1], [NEAR_MAX, 1, 1, 1], [1e-300, 0, 0, 0], [0, 1, 1, 1]])
+        p34 = NmPattern(3, 4)
+        fwd = forward_mask(w, p34)
+        assert fwd.bits[:, 0].tolist() == [1, 1, 1, 0]
+        sampled = backward_mask(w, fwd, None, p34, BinarizationCriterion.MULTINOMIAL_SAMPLING, seed=seed)
+        assert backward_mask(w, fwd, None, p34).bits[:, 0].tolist() == [1, 1, 1, 0]
+        assert sampled.bits[:, 0].tolist() == [1, 1, 1, 0]
+
     def test_finite_totals_give_unchanged_keys(self):
         rng = np.random.default_rng(8)
         for scale in (1.0, 1e300, 1e-300):
@@ -565,6 +577,17 @@ class TestTransposableMask:
         assert mask.bits[:, 0].tolist() == [1, 1, 0, 0]
         assert kept_magnitude(w, mask) == pytest.approx(exhaustive_tile_optimum(np.abs(w), 2))
 
+    def test_exact_keeps_entries_near_float_max(self):
+        # four candidate-sum terms of 1.7e308 overflow unless the tile is scaled
+        # first; tier-1 turns the overflow warning into a failure
+        w = np.full((4, 4), 1e-3)
+        big = [(0, 0), (0, 1), (1, 2), (1, 3)]
+        for r, c in big:
+            w[r, c] = NEAR_MAX
+        mask = transposable_mask(w, P24, TransposableMethod.EXACT)
+        assert all(mask.bits[r, c] == 1 for r, c in big)
+        assert validate_mask(mask) == []
+
     def test_exact_matches_independent_enumeration(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
@@ -712,6 +735,13 @@ class TestMaskConstruction:
     def test_rejects_other_non_binary_values(self, bad):
         bits = np.zeros((2, 4))
         bits[1, 2] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            Mask(MaskDirection.FORWARD, bits, P24)
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_rejects_uint8_above_one(self, bad):
+        bits = np.zeros((2, 4), dtype=np.uint8)
+        bits[0, 3] = bad
         with pytest.raises(ValueError, match="0 or 1"):
             Mask(MaskDirection.FORWARD, bits, P24)
 

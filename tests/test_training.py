@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nm_sparse_kit.data import DatasetHandle, DatasetKind
-from nm_sparse_kit.masks import BinarizationCriterion, forward_mask
-from nm_sparse_kit.permute import count_eligible_blocks
+from nm_sparse_kit.masks import BinarizationCriterion, backward_mask, forward_mask, transposable_mask
+from nm_sparse_kit.permute import count_eligible_blocks, search_permutation
 from nm_sparse_kit.tensorops import NmPattern
 from nm_sparse_kit.training import (
     DivergenceError,
@@ -271,6 +271,88 @@ class TestRefreshMasks:
         stats = refresh_masks(layer, 1, cfg)
         assert stats.mask_flip_count > 0  # new weights, new mask
         assert stats.eligible_block_ratio == 1.0
+
+
+def refresh_oracle(state, strategy, pattern, iteration, config, criterion):
+    """A mask refresh written the direct way, on a plain dict of layer state.
+
+    Every product is rebuilt from the masks and the weights, and a seed is
+    drawn on every call. Returns (flips, eligible, total).
+    """
+    w, old = state["w"], (state["fwd"], state["bwd"])
+    seeds = np.random.SeedSequence([config.seed, iteration, state["salt"]]).generate_state(2)
+    if strategy is Strategy.DENSE:
+        state["fwd"] = None
+    elif strategy is Strategy.TRANSPOSABLE:
+        state["fwd"] = transposable_mask(w, pattern)
+    else:
+        state["fwd"] = forward_mask(w, pattern)
+    eligible = total = 0
+    if strategy is Strategy.BI_MASK:
+        masked = state["fwd"].apply(w)
+        if iteration % config.delta_t == 0:
+            state["perm"] = search_permutation(
+                masked, pattern, config.k, current=state["perm"], seed=int(seeds[0])
+            ).chosen
+        used = criterion
+        if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and state["grad"] is None:
+            used = BinarizationCriterion.WEIGHT_MAGNITUDE
+        state["bwd"] = backward_mask(
+            w, state["fwd"], state["perm"], pattern, used, gradient=state["grad"], seed=int(seeds[1])
+        )
+        eligible, total = count_eligible_blocks(state["fwd"].apply(w)[state["perm"]], pattern)
+    flips = sum(int(np.sum(new.bits != was.bits)) for was, new in zip(old, (state["fwd"], state["bwd"])) if was is not None)
+    return flips, eligible, total
+
+
+class TestRefreshAgainstOracle:
+    @pytest.mark.parametrize("criterion", list(BinarizationCriterion), ids=lambda c: c.value)
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("pattern", [NmPattern.parse(p) for p in ("2:4", "1:4", "2:8", "1:16")], ids=str)
+    def test_masks_counts_and_products_match(self, pattern, strategy, criterion):
+        rng = np.random.default_rng(pattern.m * 100 + pattern.n)
+        cfg = TrainConfig(epochs=1, batch_size=1, delta_t=2, k=8, seed=9)
+        layer = SparseLinearLayer(rng.normal(size=(16, 32)), pattern, strategy, salt=3)
+        state = {"w": layer.w, "perm": layer.perm, "fwd": layer.fwd_mask, "bwd": layer.bwd_mask,
+                 "grad": None, "salt": 3}
+        for iteration in range(1, 6):  # searches on iterations 2 and 4
+            stats = refresh_masks(layer, iteration, cfg, criterion)
+            flips, eligible, total = refresh_oracle(state, strategy, pattern, iteration, cfg, criterion)
+            assert stats.searched == (strategy is Strategy.BI_MASK and iteration % 2 == 0)
+            assert (stats.mask_flip_count, stats.eligible_blocks, stats.total_blocks) == (flips, eligible, total)
+            assert np.array_equal(layer.perm, state["perm"])
+            for got, want in ((layer.fwd_mask, state["fwd"]), (layer.bwd_mask, state["bwd"])):
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got.bits, want.bits)
+
+            w = state["w"]
+            x, g = rng.normal(size=(32, 5)), rng.normal(size=(16, 5))
+            forward_w = w if state["fwd"] is None else state["fwd"].bits * w
+            assert np.array_equal(sparse_forward(x, layer), forward_w @ x)
+            assert np.array_equal(backward_exact(g, layer), forward_w.T @ g)
+            if strategy is Strategy.BI_MASK:
+                perm = state["perm"]
+                assert np.array_equal(backward_bimask(g, layer), (state["bwd"].bits * w[perm]).T @ g[perm])
+
+            state["grad"] = layer.prev_weight_grad = rng.normal(size=w.shape)
+            if iteration != 3:  # iteration 4 searches on the weights iteration 3 saw
+                state["w"] = layer.w = w + 0.1 * rng.normal(size=w.shape)
+
+    @pytest.mark.parametrize("strategy", [Strategy.VANILLA, Strategy.TRANSPOSABLE, Strategy.BI_MASK])
+    def test_assigned_weights_drop_the_masked_cache(self, strategy):
+        rng = np.random.default_rng(25)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, strategy)
+        refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        before = layer.masked_weights()
+        with pytest.raises(ValueError, match="read-only"):
+            before[0, 0] = 1.0  # shared by every product until the next refresh
+        layer.w = rng.normal(size=(8, 8))
+        assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(layer.w))
+        assert not np.array_equal(layer.masked_weights(), before)
+        if strategy is Strategy.BI_MASK:
+            g = rng.normal(size=(8, 3))
+            perm = layer.perm
+            assert np.array_equal(backward_bimask(g, layer), (layer.bwd_mask.bits * layer.w[perm]).T @ g[perm])
 
 
 class TestSchedule:
