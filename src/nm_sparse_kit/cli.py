@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--pattern", required=True, help="N:M, e.g. 2:4")
     p_mask.add_argument("--family", required=True, choices=["vanilla", "transposable", "bimask"])
     p_mask.add_argument("--method", choices=["exact", "approx"], default="approx",
-                        help="transposable tile solver")
+                        help="transposable tile solver: exact (min-cost flow, any M) "
+                             "or approx (greedy, at least half the optimum)")
     p_mask.add_argument("--criterion", default="weight-magnitude",
                         choices=[c.value for c in BinarizationCriterion],
                         help="bimask backward selection statistic")

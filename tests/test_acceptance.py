@@ -147,16 +147,17 @@ def test_03_search_oracle_equivalence():
 def test_04_two_approximation_bound():
     with Criterion(4, "transposable-2-approximation", budget_seconds=60.0):
         rng = np.random.default_rng(404)
-        pattern = kit.NmPattern(2, 4)
-        for trial in range(200):
-            size = 4 if trial % 2 == 0 else 8
-            w = rng.normal(size=(size, size))
-            exact = kit.transposable_mask(w, pattern, kit.TransposableMethod.EXACT)
-            approx = kit.transposable_mask(w, pattern, kit.TransposableMethod.TWO_APPROX)
-            exact_tiles = kit.tile_kept_magnitudes(w, exact, pattern)
-            approx_tiles = kit.tile_kept_magnitudes(w, approx, pattern)
-            assert (approx_tiles <= exact_tiles + 1e-12).all()
-            assert (approx_tiles >= 0.5 * exact_tiles - 1e-12).all()
+        for text, trials in (("2:4", 200), ("1:8", 50), ("2:8", 50), ("4:8", 50), ("1:16", 50)):
+            pattern = kit.NmPattern.parse(text)
+            for trial in range(trials):
+                size = pattern.m if trial % 2 == 0 else 2 * pattern.m
+                w = rng.normal(size=(size, size))
+                exact = kit.transposable_mask(w, pattern, kit.TransposableMethod.EXACT)
+                approx = kit.transposable_mask(w, pattern, kit.TransposableMethod.TWO_APPROX)
+                exact_tiles = kit.tile_kept_magnitudes(w, exact, pattern)
+                approx_tiles = kit.tile_kept_magnitudes(w, approx, pattern)
+                assert (approx_tiles <= exact_tiles + 1e-12).all()
+                assert (approx_tiles >= 0.5 * exact_tiles - 1e-12).all()
 
 
 def test_05_diversity_ordering():

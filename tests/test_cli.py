@@ -33,6 +33,15 @@ class TestMaskCommand:
                      "--method", "exact", str(matrix_file), str(out)]) == 0
         assert load_mask(out).direction.value == "transposable"
 
+    def test_transposable_exact_above_m4(self, tmp_path, matrix_file):
+        out = tmp_path / "mask.txt"
+        assert main(["mask", "--pattern", "2:8", "--family", "transposable",
+                     "--method", "exact", str(matrix_file), str(out)]) == 0
+        mask = load_mask(out)
+        assert mask.direction.value == "transposable"
+        assert str(mask.pattern) == "2:8"
+        assert validate_mask(mask) == []
+
     def test_bimask_with_sampling_criterion(self, tmp_path, matrix_file):
         out = tmp_path / "mask.txt"
         assert main(["mask", "--pattern", "2:4", "--family", "bimask",

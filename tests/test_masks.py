@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment, linprog
 
 from nm_sparse_kit.masks import (
     BinarizationCriterion,
@@ -27,7 +28,6 @@ from nm_sparse_kit.masks import (
 )
 from nm_sparse_kit.masks import (
     _block_keep_positions,
-    _feasible_tile_masks,
     _sampling_keys,
     _top_n,
     _transposable_count_dp,
@@ -462,15 +462,49 @@ class TestBlockInvariantProperties:
             assert (ones >= np.minimum(n, nonzeros)).all()
 
 
+@st.composite
+def tile_matrices(draw):
+    """(weights, pattern) with up to 2 x 2 tiles and M up to 16; entries mix
+    ties, zeros, constant tiles and magnitudes up to 1e300."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(1, m))
+    grid = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    values = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 1e-300]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    )
+    w = draw(hnp.arrays(np.float64, (grid[0] * m, grid[1] * m), elements=values))
+    if draw(st.booleans()):
+        w[:m, :m] = draw(values)
+    return w, NmPattern(n, m)
+
+
+class TestTransposableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tile_matrices())
+    def test_exact_and_approx_are_valid_and_within_a_factor_two(self, case):
+        w, pattern = case
+        exact = transposable_mask(w, pattern, TransposableMethod.EXACT)
+        approx = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+        assert validate_mask(exact) == []
+        assert validate_mask(approx) == []
+        exact_tiles = tile_kept_magnitudes(w, exact, pattern)
+        approx_tiles = tile_kept_magnitudes(w, approx, pattern)
+        assert (exact_tiles >= approx_tiles * (1 - 1e-12)).all()
+        assert (approx_tiles >= 0.5 * exact_tiles * (1 - 1e-12)).all()
+
+
+def feasible_tiles(n, m):
+    """Every m x m 0/1 tile with row and column sums <= n, by brute force over 2^(m*m) codes."""
+    codes = np.arange(1 << (m * m), dtype=np.uint32)
+    grids = ((codes[:, None] >> np.arange(m * m)) & 1).astype(np.uint8).reshape(-1, m, m)
+    return grids[(grids.sum(axis=1).max(axis=1) <= n) & (grids.sum(axis=2).max(axis=1) <= n)]
+
+
 def exhaustive_tile_optimum(abs_tile, n):
     """Independent brute force over all 2^(m*m) tile masks."""
     m = abs_tile.shape[0]
-    codes = np.arange(1 << (m * m), dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(m * m)) & 1).astype(np.float64)
-    grids = bits.reshape(-1, m, m)
-    feasible = (grids.sum(axis=1).max(axis=1) <= n) & (grids.sum(axis=2).max(axis=1) <= n)
-    scores = bits @ abs_tile.ravel()
-    return float(scores[feasible].max())
+    return float((feasible_tiles(n, m).reshape(-1, m * m).astype(np.float64) @ abs_tile.ravel()).max())
 
 
 def greedy_tile_oracle(abs_tile, n):
@@ -547,22 +581,102 @@ def exact_mask_oracle(w, pattern):
     return bits
 
 
+def lp_tile_optimum(abs_tile, n):
+    """Max kept |w| of one tile by linear programming over [0, 1] entries.
+
+    The row and column budgets form a totally unimodular system, so the LP
+    optimum equals the best 0/1 mask.
+    """
+    m = abs_tile.shape[0]
+    budgets = np.vstack([np.kron(np.eye(m), np.ones(m)), np.kron(np.ones(m), np.eye(m))])
+    res = linprog(-abs_tile.ravel(), A_ub=budgets, b_ub=np.full(2 * m, n), bounds=(0, 1), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def tiles_of(a, m):
+    """(rows/m * cols/m, m, m) stack of a matrix's tiles, row-major over the grid."""
+    rows, cols = a.shape
+    return a.reshape(rows // m, m, cols // m, m).swapaxes(1, 2).reshape(-1, m, m)
+
+
 EXACT_PATTERNS = [NmPattern(n, m) for m in (2, 3, 4) for n in range(1, m + 1)]
+LP_PATTERNS = [NmPattern.parse(p) for p in ("1:8", "2:8", "4:8", "1:16", "8:16")]
 
 
 class TestTransposableMask:
     @pytest.mark.parametrize("pattern", EXACT_PATTERNS, ids=str)
-    def test_feasible_table_in_candidate_order(self, pattern):
+    def test_candidate_oracle_lists_every_feasible_tile_once(self, pattern):
         n, m = pattern.n, pattern.m
-        table = _feasible_tile_masks(n, m)
-        assert table.dtype == np.float64
-        assert np.array_equal(table, tile_candidates_oracle(n, m).reshape(-1, m * m))
+        candidates = tile_candidates_oracle(n, m)
+        as_set = {tile.tobytes() for tile in candidates}
+        assert len(as_set) == len(candidates)
+        assert as_set == {tile.tobytes() for tile in feasible_tiles(n, m)}
 
     @pytest.mark.parametrize("pattern", EXACT_PATTERNS, ids=str)
-    def test_exact_matches_per_tile_oracle(self, pattern):
+    def test_exact_keeps_the_oracle_optimum_per_tile(self, pattern):
+        # ties leave several optima; the solver may pick a different one than
+        # the first-best candidate, but never a lighter one
         for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 2):
             mask = transposable_mask(w, pattern, TransposableMethod.EXACT)
-            assert np.array_equal(mask.bits, exact_mask_oracle(w, pattern))
+            oracle = Mask(MaskDirection.TRANSPOSABLE, exact_mask_oracle(w, pattern), pattern)
+            assert validate_mask(mask) == []
+            kept, best = tile_kept_magnitudes(w, mask, pattern), tile_kept_magnitudes(w, oracle, pattern)
+            np.testing.assert_allclose(kept, best, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pattern", EXACT_PATTERNS, ids=str)
+    def test_exact_matches_oracle_bits_on_continuous_weights(self, pattern):
+        # continuous weights have a unique optimum per tile; in the near-tie
+        # case it beats the runner-up by ~1e-9 of the tile's weight
+        rng = np.random.default_rng(pattern.m * 10 + pattern.n + 3)
+        for grid in [(1, 1), (4, 4), (2, 5)]:
+            shape = (grid[0] * pattern.m, grid[1] * pattern.m)
+            for w in (rng.normal(size=shape), 1.0 + 1e-9 * rng.normal(size=shape)):
+                mask = transposable_mask(w, pattern, TransposableMethod.EXACT)
+                assert np.array_equal(mask.bits, exact_mask_oracle(w, pattern))
+
+    @pytest.mark.parametrize("pattern", EXACT_PATTERNS + [NmPattern(2, 8), NmPattern(1, 16)], ids=str)
+    def test_exact_tiles_are_solved_independently(self, pattern):
+        m = pattern.m
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 4):
+            whole = tiles_of(transposable_mask(w, pattern, TransposableMethod.EXACT).bits, m)
+            for tile, bits in zip(tiles_of(w, m), whole):
+                assert np.array_equal(transposable_mask(tile, pattern, TransposableMethod.EXACT).bits, bits)
+
+    @pytest.mark.parametrize("pattern", LP_PATTERNS, ids=str)
+    def test_exact_matches_lp_optimum_per_tile(self, pattern):
+        n, m = pattern.n, pattern.m
+        rng = np.random.default_rng(pattern.m * 10 + pattern.n + 5)
+        shape = (2 * m, 2 * m)
+        cases = [
+            rng.normal(size=shape),
+            np.round(rng.normal(size=shape)),  # ties and zeros
+            rng.integers(-2, 3, size=shape).astype(np.float64),
+            np.where(rng.random(shape) < 0.5, 1.0, 0.5),
+        ]
+        for w in cases:
+            mask = transposable_mask(w, pattern, TransposableMethod.EXACT)
+            kept = tile_kept_magnitudes(w, mask, pattern).ravel()
+            optimum = [lp_tile_optimum(tile, n) for tile in tiles_of(np.abs(w), m)]
+            np.testing.assert_allclose(kept, optimum, rtol=1e-9, atol=0)
+
+    def test_exact_1_16_matches_assignment(self):
+        # with one one per row and column a tile's optimum is a max-weight assignment
+        rng = np.random.default_rng(53)
+        p116 = NmPattern(1, 16)
+        for w in (rng.normal(size=(32, 48)), np.round(rng.normal(size=(32, 48)))):
+            kept = tile_kept_magnitudes(w, transposable_mask(w, p116, TransposableMethod.EXACT), p116)
+            for tile, got in zip(tiles_of(np.abs(w), 16), kept.ravel()):
+                r, c = linear_sum_assignment(tile, maximize=True)
+                assert got == pytest.approx(tile[r, c].sum(), rel=1e-12)
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # on a constant tile every path gains the same; each augmentation takes
+        # the lowest free column and, for it, the lowest row
+        const = np.full((4, 4), 3.0)
+        diagonal_blocks = np.kron(np.eye(2), np.ones((2, 2)))
+        assert np.array_equal(transposable_mask(const, P24, TransposableMethod.EXACT).bits, diagonal_blocks)
+        assert np.array_equal(transposable_mask(const, P14, TransposableMethod.EXACT).bits, np.eye(4))
 
     def test_identity_support_is_kept(self):
         w = np.eye(4)
@@ -631,9 +745,17 @@ class TestTransposableMask:
             assert ((tiles == 1) | row_full | col_full).all()
             assert validate_mask(Mask(MaskDirection.TRANSPOSABLE, bits, pattern)) == []
 
-    def test_exact_guarded_above_m4(self):
-        with pytest.raises(ValueError, match="feasible"):
-            transposable_mask(np.zeros((8, 8)), NmPattern(2, 8), TransposableMethod.EXACT)
+    @pytest.mark.parametrize("pattern", [NmPattern(2, 8), NmPattern(1, 16)], ids=str)
+    def test_exact_above_m4(self, pattern):
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 6):
+            exact = transposable_mask(w, pattern, TransposableMethod.EXACT)
+            approx = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+            assert validate_mask(exact) == []
+            assert block_ones_ok(exact.bits, pattern, "both")
+            exact_tiles = tile_kept_magnitudes(w, exact, pattern)
+            approx_tiles = tile_kept_magnitudes(w, approx, pattern)
+            assert (exact_tiles >= approx_tiles * (1 - 1e-12)).all()
+            assert (approx_tiles >= 0.5 * exact_tiles * (1 - 1e-12)).all()
 
     def test_divisibility_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
