@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask = sub.add_parser("mask", help="generate a mask for a matrix file")
     p_mask.add_argument("--pattern", required=True, help="N:M, e.g. 2:4")
     p_mask.add_argument("--family", required=True, choices=["vanilla", "transposable", "bimask"])
-    p_mask.add_argument("--method", choices=["exact", "approx"], default="approx",
+    p_mask.add_argument("--method", choices=[t.value for t in TransposableMethod], default="approx",
                         help="transposable tile solver: exact (min-cost flow, any M) "
                              "or approx (greedy, at least half the optimum)")
     p_mask.add_argument("--criterion", default="weight-magnitude",
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_div = sub.add_parser("diversity", help="count admissible masks for a pattern")
     p_div.add_argument("--pattern", help="N:M, e.g. 2:4")
-    p_div.add_argument("--family", choices=["vanilla", "transposable"], default="vanilla")
+    p_div.add_argument("--family", choices=[f.value for f in MaskFamily], default="vanilla")
     p_div.add_argument("--tile-rows", type=int, default=None)
     p_div.add_argument("--table", action="store_true",
                        help="print the vanilla/transposable comparison across standard patterns")
@@ -137,8 +137,7 @@ def _cmd_mask(args) -> int:
     if family == "vanilla":
         mask = forward_mask(w, pattern)
     elif family == "transposable":
-        method = TransposableMethod.EXACT if args.method == "exact" else TransposableMethod.TWO_APPROX
-        mask = transposable_mask(w, pattern, method)
+        mask = transposable_mask(w, pattern, TransposableMethod(args.method))
     else:
         criterion = BinarizationCriterion(args.criterion)
         gradient = load_matrix(args.gradient) if args.gradient else None

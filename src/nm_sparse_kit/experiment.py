@@ -15,7 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import DatasetHandle, DatasetKind, generate_synthetic, load_idx
+from .data import DatasetHandle, generate_synthetic, load_idx
 from .masks import BinarizationCriterion, save_mask
 from .tensorops import NmPattern, save_matrix
 from .training import (
@@ -144,14 +144,11 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetHandle:
                 raise ValueError(
                     f"test images are {test_set.input_dim}-dim but train images are {train_set.input_dim}-dim"
                 )
-            return DatasetHandle(
-                DatasetKind.IDX_PAIR,
-                train_set.input_dim,
-                max(train_set.num_classes, test_set.num_classes),
-                train_set.x_train,
-                train_set.y_train,
-                test_set.x_train,
-                test_set.y_train,
+            return replace(
+                train_set,
+                num_classes=max(train_set.num_classes, test_set.num_classes),
+                x_test=test_set.x_train,
+                y_test=test_set.y_train,
             )
         return train_set
     raise ValueError(f"unknown dataset descriptor {cfg.dataset!r} (expected 'synthetic' or 'idx:<dir>')")

@@ -66,12 +66,11 @@ class Mask:
         binary = b.max() <= 1 if b.dtype == np.uint8 else ((b == 0) | (b == 1)).all()
         if not binary:
             raise ValueError("mask bits must all be 0 or 1")
-        m = self.pattern.m
         rows, cols = b.shape
-        if self.direction in (MaskDirection.FORWARD, MaskDirection.TRANSPOSABLE) and cols % m:
-            raise ValueError(f"{self.direction.value} mask needs cols divisible by {m}, got {cols}")
-        if self.direction in (MaskDirection.BACKWARD, MaskDirection.TRANSPOSABLE) and rows % m:
-            raise ValueError(f"{self.direction.value} mask needs rows divisible by {m}, got {rows}")
+        if self.direction is not MaskDirection.BACKWARD:
+            check_divisible(cols, self.pattern.m, f"{self.direction.value} mask cols")
+        if self.direction is not MaskDirection.FORWARD:
+            check_divisible(rows, self.pattern.m, f"{self.direction.value} mask rows")
         self.bits = np.ascontiguousarray(b, dtype=np.uint8)
 
     @property

@@ -94,7 +94,7 @@ class StepMetrics:
 
 @dataclass
 class RefreshStats:
-    """Partial step metrics produced by one mask refresh."""
+    """Partial step metrics of one mask refresh, or summed over a step's layers."""
 
     mask_flip_count: int
     eligible_blocks: int
@@ -129,10 +129,10 @@ class SparseLinearLayer:
     permutation and the backward mask generated from it; the backward mask is
     indexed in the permuted row order.
 
-    The masked weights, their permuted rows and the backward-product weights
-    are built at most once per mask refresh and shared by every product and
-    count that reads them. Assigning ``w`` drops them; mutating ``w`` in
-    place does not, so always assign new weights.
+    The masked weights and their permuted rows are built at most once per
+    mask refresh and shared by every product and count that reads them.
+    Assigning ``w`` drops them; mutating ``w`` in place does not, so always
+    assign new weights.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
@@ -158,11 +158,7 @@ class SparseLinearLayer:
         self._drop_derived()
 
     def _drop_derived(self) -> None:
-        self._masked = self._masked_perm = self._bwd_weights = None
-
-    @property
-    def shape(self):
-        return self.w.shape
+        self._masked = self._masked_perm = None
 
     def masked_weights(self) -> np.ndarray:
         """The effective forward weights W (x) B (plain W on the dense path).
@@ -181,12 +177,6 @@ class SparseLinearLayer:
         if self._masked_perm is None:
             self._masked_perm = _read_only(self.masked_weights()[self._bwd_perm])
         return self._masked_perm
-
-    def _backward_weights(self) -> np.ndarray:
-        """The bi-mask backward-product weights, rows in permuted order."""
-        if self._bwd_weights is None:
-            self._bwd_weights = _read_only(self.bwd_mask.bits * self._permuted_masked())
-        return self._bwd_weights
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -221,7 +211,7 @@ def backward_bimask(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
         raise ValueError(f"layer emits {layer.w.shape[0]}-dim outputs, got gradient {g_y.shape[0]}")
     if layer._bwd_perm is None or not np.array_equal(layer.perm, layer._bwd_perm):
         raise StaleMaskError("backward mask is stale: permutation changed without a mask refresh")
-    return layer._backward_weights().T @ g_y[layer.perm]
+    return (layer.bwd_mask.bits * layer._permuted_masked()).T @ g_y[layer.perm]
 
 
 def weight_gradient(g_y: np.ndarray, x: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
@@ -419,39 +409,30 @@ def train(
             x0 = features[:, idx]
             y = labels[idx]
 
-            flips = 0
-            eligible = total = 0
+            step = RefreshStats(mask_flip_count=0, eligible_blocks=0, total_blocks=0)
             for layer in layers:
                 stats = refresh_masks(layer, t, config, criterion)
-                flips += stats.mask_flip_count
-                eligible += stats.eligible_blocks
-                total += stats.total_blocks
+                step.mask_flip_count += stats.mask_flip_count
+                step.eligible_blocks += stats.eligible_blocks
+                step.total_blocks += stats.total_blocks
                 trace.search_seconds_total += stats.search_seconds
 
+            lr = lr_at(t, total_iterations, warmup_iterations, config.peak_lr)
+            gap_num = gap_den = 0.0
             # overflow here is the divergence guard's job, not a warning's
             with np.errstate(over="ignore", invalid="ignore"):
                 inputs = [x0]
-                zs = []
-                h = x0
-                for i, layer in enumerate(layers):
-                    z = sparse_forward(h, layer)
-                    zs.append(z)
-                    h = relu(z) if i < len(layers) - 1 else z
-                    if i < len(layers) - 1:
-                        inputs.append(h)
+                for layer in layers[:-1]:
+                    inputs.append(relu(sparse_forward(inputs[-1], layer)))
+                loss, g = softmax_cross_entropy(sparse_forward(inputs[-1], layers[-1]), y)
+                if not math.isfinite(loss):
+                    raise DivergenceError(t)
 
-                loss, g = softmax_cross_entropy(h, y)
-            if not math.isfinite(loss):
-                raise DivergenceError(t)
-
-            gap_num = 0.0
-            gap_den = 0.0
-            grads = []
-            with np.errstate(over="ignore", invalid="ignore"):
+                # each layer once, top down: its products read only its own
+                # weights, so it can take its update right after them
                 for i in reversed(range(len(layers))):
                     layer = layers[i]
                     g_w = weight_gradient(g, inputs[i], layer)
-                    grads.append(g_w)
                     if layer.strategy is Strategy.BI_MASK:
                         g_x = backward_bimask(g, layer)
                         g_ideal = backward_exact(g, layer)
@@ -460,15 +441,11 @@ def train(
                     else:
                         g_x = backward_exact(g, layer)
                     if i > 0:
-                        g = g_x * (zs[i - 1] > 0)
-                grads.reverse()
-
-                lr = lr_at(t, total_iterations, warmup_iterations, config.peak_lr)
-                for layer, v, g_w in zip(layers, velocities, grads):
+                        g = g_x * (inputs[i] > 0)  # relu(z) > 0 exactly where z > 0
                     layer.prev_weight_grad = g_w
-                    step = g_w + config.weight_decay * layer.w
+                    v = velocities[i]
                     v *= config.momentum
-                    v += step
+                    v += g_w + config.weight_decay * layer.w
                     layer.w = layer.w - lr * v
 
             gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
@@ -477,8 +454,8 @@ def train(
                     iteration=t,
                     loss=loss,
                     grad_gap_l2=gap,
-                    eligible_block_ratio=eligible / total if total else 1.0,
-                    mask_flip_count=flips,
+                    eligible_block_ratio=step.eligible_block_ratio,
+                    mask_flip_count=step.mask_flip_count,
                 )
             )
     return layers, trace

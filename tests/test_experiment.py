@@ -18,7 +18,7 @@ from nm_sparse_kit.experiment import (
     save_config,
     serialize_config,
 )
-from nm_sparse_kit.data import save_idx_images, save_idx_labels
+from nm_sparse_kit.data import DatasetKind, save_idx_images, save_idx_labels
 from nm_sparse_kit.masks import BinarizationCriterion, load_mask, validate_mask
 from nm_sparse_kit.tensorops import NmPattern, load_matrix
 from nm_sparse_kit.training import Strategy, TrainConfig
@@ -196,13 +196,17 @@ class TestBuildDataset:
         save_idx_images(root / "train-images-idx3-ubyte", rng.integers(0, 255, (6, 2, 4), dtype=np.uint8))
         save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8))
         save_idx_images(root / "t10k-images-idx3-ubyte", rng.integers(0, 255, (2, 2, 4), dtype=np.uint8))
-        save_idx_labels(root / "t10k-labels-idx1-ubyte", np.array([1, 0], dtype=np.uint8))
+        # label 3 appears only in the test split, so num_classes must cover it
+        save_idx_labels(root / "t10k-labels-idx1-ubyte", np.array([1, 3], dtype=np.uint8))
         cfg = small_config(tmp_path / "run")
         cfg = ExperimentConfig(**{**cfg.__dict__, "dataset": f"idx:{root}"})
         data = build_dataset(cfg)
         assert data.train_count == 6
         assert data.test_count == 2
         assert data.input_dim == 8
+        assert data.num_classes == 4
+        assert data.kind is DatasetKind.IDX_PAIR
+        assert data.y_test.tolist() == [1, 3]
 
     def test_unknown_descriptor(self, tmp_path):
         cfg = ExperimentConfig(Strategy.VANILLA, NmPattern(2, 4), dataset="csv:wat")

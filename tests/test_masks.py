@@ -873,11 +873,19 @@ class TestMaskConstruction:
         assert mask.bits.dtype == np.uint8
         assert mask.bits.tolist() == [[1, 0, 1, 0]]
 
-    def test_rejects_bad_shape_for_direction(self):
-        with pytest.raises(ValueError, match="divisible"):
-            Mask(MaskDirection.FORWARD, np.zeros((2, 6), dtype=np.uint8), P24)
-        with pytest.raises(ValueError, match="divisible"):
-            Mask(MaskDirection.BACKWARD, np.zeros((6, 2), dtype=np.uint8), P24)
+    @pytest.mark.parametrize(
+        "direction, shape, message",
+        [
+            (MaskDirection.FORWARD, (4, 6), "needs forward mask cols divisible by 4, got 6"),
+            (MaskDirection.BACKWARD, (6, 4), "needs backward mask rows divisible by 4, got 6"),
+            (MaskDirection.TRANSPOSABLE, (4, 6), "needs transposable mask cols divisible by 4, got 6"),
+            (MaskDirection.TRANSPOSABLE, (6, 4), "needs transposable mask rows divisible by 4, got 6"),
+        ],
+    )
+    def test_rejects_bad_shape_for_direction(self, direction, shape, message):
+        with pytest.raises(ValueError) as err:
+            Mask(direction, np.zeros(shape, dtype=np.uint8), P24)
+        assert str(err.value) == message
 
 
 class TestMaskSerialization:

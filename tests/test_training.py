@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nm_sparse_kit.data import DatasetHandle, DatasetKind
 from nm_sparse_kit.masks import BinarizationCriterion, backward_mask, forward_mask, transposable_mask
@@ -11,6 +14,7 @@ from nm_sparse_kit.training import (
     DivergenceError,
     SparseLinearLayer,
     StaleMaskError,
+    StepMetrics,
     Strategy,
     TrainConfig,
     backward_bimask,
@@ -19,6 +23,7 @@ from nm_sparse_kit.training import (
     init_layers,
     lr_at,
     refresh_masks,
+    relu,
     softmax_cross_entropy,
     sparse_forward,
     train,
@@ -171,6 +176,42 @@ class TestBackwardBimask:
         layer = SparseLinearLayer(np.zeros((8, 8)), P24, Strategy.VANILLA)
         with pytest.raises(ValueError, match="bimask"):
             backward_bimask(np.zeros((8, 1)), layer)
+
+
+@st.composite
+def permuted_bimask_cases(draw):
+    """(layer, g) for a bi-mask layer whose random row permutation
+    is assigned before its refresh; M up to 16, weights heavy in ties and zeros."""
+    m = draw(st.integers(2, 16))
+    pattern = NmPattern(draw(st.integers(1, m)), m)
+    rows, cols = m * draw(st.integers(1, 3)), m * draw(st.integers(1, 3))
+    values = st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0]),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    w = draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+    criterion = draw(st.sampled_from(list(BinarizationCriterion)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = SparseLinearLayer(w, pattern, Strategy.BI_MASK, salt=int(rng.integers(100)))
+    layer.prev_weight_grad = np.round(rng.normal(size=w.shape), 1)
+    layer.perm = rng.permutation(rows)
+    cfg = TrainConfig(epochs=1, batch_size=1, delta_t=10**9, seed=int(rng.integers(100)))
+    refresh_masks(layer, 1, cfg, criterion)
+    return layer, rng.normal(size=(rows, 3))
+
+
+class TestPermutationEquivalenceProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(permuted_bimask_cases())
+    def test_permuted_product_equals_the_unpermuted_forms(self, case):
+        layer, g = case
+        w, perm, fwd, bwd = layer.w, layer.perm, layer.fwd_mask.bits, layer.bwd_mask.bits
+        assert (bwd <= fwd[perm]).all()
+        got = backward_bimask(g, layer)
+        for kept, grad in ((bwd * w[perm], g[perm]), (bwd[np.argsort(perm)] * w, g)):
+            # relative to the magnitudes summed, so cancellation to ~0 passes
+            scale = np.abs(kept).T @ np.abs(grad)
+            assert (np.abs(got - kept.T @ grad) <= 1e-12 * scale).all()
 
 
 class TestWeightGradient:
@@ -353,6 +394,82 @@ class TestRefreshAgainstOracle:
             g = rng.normal(size=(8, 3))
             perm = layer.perm
             assert np.array_equal(backward_bimask(g, layer), (layer.bwd_mask.bits * layer.w[perm]).T @ g[perm])
+
+
+def train_oracle(layers, data, config, criterion):
+    """train() as two phases: every layer's products first, then every update.
+
+    Written over the public products, with the step metrics summed the
+    direct way. Mutates the layers as train() does; returns the StepMetrics.
+    """
+    features, labels = np.ascontiguousarray(data.x_train.T), data.y_train
+    per_epoch = len(labels) // config.batch_size
+    total_iterations = config.epochs * per_epoch
+    warmup_iterations = config.warmup_epochs * per_epoch
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xDA7A]))
+    velocities = [np.zeros_like(layer.w) for layer in layers]
+    steps, t = [], 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(labels))
+        for b in range(per_epoch):
+            t += 1
+            idx = order[b * config.batch_size : (b + 1) * config.batch_size]
+            stats = [refresh_masks(layer, t, config, criterion) for layer in layers]
+            hs, zs = [features[:, idx]], []
+            for i, layer in enumerate(layers):
+                zs.append(sparse_forward(hs[-1], layer))
+                hs.append(relu(zs[-1]) if i < len(layers) - 1 else zs[-1])
+            loss, g = softmax_cross_entropy(hs[-1], labels[idx])
+            grads = [None] * len(layers)
+            num = den = 0.0
+            for i in reversed(range(len(layers))):
+                grads[i] = weight_gradient(g, hs[i], layers[i])
+                if layers[i].strategy is Strategy.BI_MASK:
+                    g_x, g_ideal = backward_bimask(g, layers[i]), backward_exact(g, layers[i])
+                    num += float(((g_x - g_ideal) ** 2).sum())
+                    den += float((g_ideal**2).sum())
+                else:
+                    g_x = backward_exact(g, layers[i])
+                g = g_x * (zs[i - 1] > 0) if i > 0 else None
+            lr = lr_at(t, total_iterations, warmup_iterations, config.peak_lr)
+            for layer, v, g_w in zip(layers, velocities, grads):
+                layer.prev_weight_grad = g_w
+                v *= config.momentum
+                v += g_w + config.weight_decay * layer.w
+                layer.w = layer.w - lr * v
+            eligible = sum(s.eligible_blocks for s in stats)
+            blocks = sum(s.total_blocks for s in stats)
+            steps.append(StepMetrics(
+                iteration=t,
+                loss=loss,
+                grad_gap_l2=math.sqrt(num) / math.sqrt(den) if den > 0 else 0.0,
+                eligible_block_ratio=eligible / blocks if blocks else 1.0,
+                mask_flip_count=sum(s.mask_flip_count for s in stats),
+            ))
+    return steps
+
+
+TRAIN_CASES = [(s, BinarizationCriterion.WEIGHT_MAGNITUDE) for s in Strategy if s is not Strategy.BI_MASK]
+TRAIN_CASES += [(Strategy.BI_MASK, c) for c in BinarizationCriterion]
+
+
+class TestTrainAgainstOracle:
+    @pytest.mark.parametrize("strategy, criterion", TRAIN_CASES, ids=lambda v: v.value)
+    @pytest.mark.parametrize("pattern", [NmPattern(2, 4), NmPattern(1, 16)], ids=str)
+    def test_weights_masks_and_metrics_match(self, pattern, strategy, criterion):
+        data = blob_data(np.random.default_rng(26), classes=16, dim=16, per_class=4)
+        # 64 samples in batches of 16: 8 iterations, searches on 3 and 6
+        cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=1,
+                          peak_lr=0.1, weight_decay=1e-3, seed=4)
+        got, trace = train(init_layers([16, 32, 16], pattern, strategy, seed=4), data, cfg, criterion)
+        want = init_layers([16, 32, 16], pattern, strategy, seed=4)
+        assert trace.steps == train_oracle(want, data, cfg, criterion)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.perm, b.perm)
+            for mask_a, mask_b in ((a.fwd_mask, b.fwd_mask), (a.bwd_mask, b.bwd_mask)):
+                assert (mask_a is None) == (mask_b is None)
+                assert mask_a is None or np.array_equal(mask_a.bits, mask_b.bits)
 
 
 class TestSchedule:
