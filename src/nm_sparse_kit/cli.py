@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mask = sub.add_parser("mask", help="generate a mask for a matrix file")
     p_mask.add_argument("--pattern", required=True, help="N:M, e.g. 2:4")
-    p_mask.add_argument("--family", required=True, choices=["vanilla", "transposable", "bimask"])
+    p_mask.add_argument("--family", required=True,
+                        choices=[s.value for s in Strategy if s is not Strategy.DENSE])
     p_mask.add_argument("--method", choices=[t.value for t in TransposableMethod], default="approx",
                         help="transposable tile solver: exact (min-cost flow, any M) "
                              "or approx (greedy, at least half the optimum)")
@@ -133,10 +134,10 @@ def _cmd_mask(args) -> int:
     pattern = NmPattern.parse(args.pattern)
     w = load_matrix(args.input)
     seed = _resolve_seed(args.seed)
-    family = args.family
-    if family == "vanilla":
+    family = Strategy(args.family)
+    if family is Strategy.VANILLA:
         mask = forward_mask(w, pattern)
-    elif family == "transposable":
+    elif family is Strategy.TRANSPOSABLE:
         mask = transposable_mask(w, pattern, TransposableMethod(args.method))
     else:
         criterion = BinarizationCriterion(args.criterion)

@@ -50,6 +50,9 @@ class BinarizationCriterion(Enum):
     RANDOM = "random"
 
 
+SEEDED_CRITERIA = (BinarizationCriterion.MULTINOMIAL_SAMPLING, BinarizationCriterion.RANDOM)
+
+
 @dataclass
 class Mask:
     """A binary matrix tagged with its direction and N:M pattern."""
@@ -213,6 +216,8 @@ def backward_mask(
     if fwd.pattern != pattern:
         raise ValueError(f"forward mask pattern {fwd.pattern} does not match {pattern}")
     perm = np.arange(rows) if perm is None else check_permutation(perm, rows)
+    if criterion in SEEDED_CRITERIA and seed is None:
+        raise ValueError(f"{criterion.value} criterion needs an explicit seed")
 
     fwd_perm = fwd.bits[perm]
     masked_perm = fwd_perm * w[perm]
@@ -227,12 +232,8 @@ def backward_mask(
             raise ValueError(f"gradient shape {gradient.shape} does not match matrix {w.shape}")
         keys = np.abs(fwd_perm * gradient[perm])
     elif criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
-        if seed is None:
-            raise ValueError("multinomial criterion needs an explicit seed")
         keys = _sampling_keys(np.abs(masked_perm), m, np.random.default_rng(seed))
     elif criterion is BinarizationCriterion.RANDOM:
-        if seed is None:
-            raise ValueError("random criterion needs an explicit seed")
         keys = np.random.default_rng(seed).random(w.shape)
     else:  # pragma: no cover
         raise ValueError(f"unknown criterion {criterion!r}")

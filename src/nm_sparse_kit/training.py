@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .masks import (
+    SEEDED_CRITERIA,
     BinarizationCriterion,
     Mask,
     backward_mask,
@@ -37,10 +38,10 @@ class Strategy(Enum):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a layer's updated weights stop being finite."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"training diverged: non-finite loss at iteration {iteration}")
+        super().__init__(f"training diverged: non-finite loss or weights at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -96,9 +97,9 @@ class StepMetrics:
 class RefreshStats:
     """Partial step metrics of one mask refresh, or summed over a step's layers."""
 
-    mask_flip_count: int
-    eligible_blocks: int
-    total_blocks: int
+    mask_flip_count: int = 0
+    eligible_blocks: int = 0
+    total_blocks: int = 0
     searched: bool = False
     search_seconds: float = 0.0
 
@@ -131,8 +132,8 @@ class SparseLinearLayer:
 
     The masked weights and their permuted rows are built at most once per
     mask refresh and shared by every product and count that reads them.
-    Assigning ``w`` drops them; mutating ``w`` in place does not, so always
-    assign new weights.
+    Assigning ``w`` drops them. ``w`` itself is read-only, since an in-place
+    edit would leave them stale; assign new weights instead.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
@@ -142,11 +143,10 @@ class SparseLinearLayer:
         self.salt = salt
         self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
-        self.fwd_mask: Mask | None = _new_forward_mask(self)
+        self.fwd_mask: Mask | None = None
         self.bwd_mask: Mask | None = None
         self._bwd_perm: np.ndarray | None = None
-        if strategy is Strategy.BI_MASK:
-            _rebuild_backward_mask(self, BinarizationCriterion.WEIGHT_MAGNITUDE, seed=None)
+        _build_masks(self, BinarizationCriterion.WEIGHT_MAGNITUDE)
 
     @property
     def w(self) -> np.ndarray:
@@ -154,7 +154,7 @@ class SparseLinearLayer:
 
     @w.setter
     def w(self, value: np.ndarray) -> None:
-        self._w = value
+        self._w = _read_only(value.view())
         self._drop_derived()
 
     def _drop_derived(self) -> None:
@@ -180,7 +180,7 @@ class SparseLinearLayer:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # cached on the layer and shared by every reader
+    a.flags.writeable = False  # held by the layer and shared by every reader
     return a
 
 
@@ -209,7 +209,7 @@ def backward_bimask(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
         raise ValueError(f"backward_bimask needs a bimask layer, got {layer.strategy.value}")
     if layer.w.shape[0] != g_y.shape[0]:
         raise ValueError(f"layer emits {layer.w.shape[0]}-dim outputs, got gradient {g_y.shape[0]}")
-    if layer._bwd_perm is None or not np.array_equal(layer.perm, layer._bwd_perm):
+    if not np.array_equal(layer.perm, layer._bwd_perm):
         raise StaleMaskError("backward mask is stale: permutation changed without a mask refresh")
     return (layer.bwd_mask.bits * layer._permuted_masked()).T @ g_y[layer.perm]
 
@@ -229,38 +229,63 @@ def weight_gradient(g_y: np.ndarray, x: np.ndarray, layer: SparseLinearLayer) ->
     return g_y @ x.T
 
 
-def _new_forward_mask(layer: SparseLinearLayer) -> Mask | None:
-    """The forward mask of the layer's strategy from its current weights."""
-    if layer.strategy is Strategy.DENSE:
-        return None
-    if layer.strategy is Strategy.TRANSPOSABLE:
-        return transposable_mask(layer.w, layer.pattern)
-    return forward_mask(layer.w, layer.pattern)
+def _build_masks(
+    layer: SparseLinearLayer,
+    criterion: BinarizationCriterion,
+    k: int | None = None,
+    entropy: list[int] | None = None,
+) -> RefreshStats:
+    """The strategy's masks from the layer's current weights, with flips against the old ones.
 
-
-def _rebuild_backward_mask(
-    layer: SparseLinearLayer, criterion: BinarizationCriterion, seed: int | None
-) -> None:
-    """Rebuild a bi-mask layer's backward mask from its incumbent permutation.
-
-    The gradient criterion falls back to weight magnitude until the layer
-    has a weight gradient; only the sampling criteria read ``seed``.
+    On bi-mask, a given ``k`` first re-searches the row permutation (seeded
+    from ``entropy``), and the backward mask is built from the incumbent one;
+    its gradient criterion falls back to weight magnitude until the layer has
+    a weight gradient.
     """
-    if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
-        criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
-    layer.bwd_mask = backward_mask(
-        layer.w,
-        layer.fwd_mask,
-        layer.perm,
-        layer.pattern,
-        criterion,
-        gradient=layer.prev_weight_grad,
-        seed=seed,
-    )
-    layer._bwd_perm = layer.perm.copy()
+    old_masks = (layer.fwd_mask, layer.bwd_mask)
+    if layer.strategy is Strategy.DENSE:
+        layer.fwd_mask = None
+    elif layer.strategy is Strategy.TRANSPOSABLE:
+        layer.fwd_mask = transposable_mask(layer.w, layer.pattern)
+    else:
+        layer.fwd_mask = forward_mask(layer.w, layer.pattern)
+    layer._drop_derived()
 
+    stats = RefreshStats()
+    if layer.strategy is Strategy.BI_MASK:
+        # a seed sequence costs about a tenth of a small layer's refresh, so
+        # only the search and the sampling criteria, which read one, draw it
+        seeds = (
+            np.random.SeedSequence(entropy).generate_state(2).tolist()
+            if k is not None or criterion in SEEDED_CRITERIA
+            else [None, None]
+        )
+        if k is not None:
+            report = search_permutation(
+                layer.masked_weights(), layer.pattern, k, current=layer.perm, seed=seeds[0]
+            )
+            layer.perm = report.chosen
+            stats = RefreshStats(searched=True, search_seconds=report.elapsed)
+        if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
+            criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
+        layer.bwd_mask = backward_mask(
+            layer.w,
+            layer.fwd_mask,
+            layer.perm,
+            layer.pattern,
+            criterion,
+            gradient=layer.prev_weight_grad,
+            seed=seeds[1],
+        )
+        layer._bwd_perm = layer.perm.copy()
+        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
+            layer._permuted_masked(), layer.pattern
+        )
 
-_SEEDED_CRITERIA = (BinarizationCriterion.MULTINOMIAL_SAMPLING, BinarizationCriterion.RANDOM)
+    for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
+        if old is not None:
+            stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
+    return stats
 
 
 def refresh_masks(
@@ -271,43 +296,12 @@ def refresh_masks(
 ) -> RefreshStats:
     """Recompute the layer's masks for one (1-based) training iteration.
 
-    The forward (or transposable) mask is rebuilt every call. On the bi-mask
-    strategy the row permutation is re-searched only when
-    ``iteration % delta_t == 0``, while the backward mask is rebuilt every
-    call from the incumbent permutation. Deterministic given
-    (config.seed, iteration, layer.salt).
+    Every call rebuilds the masks; on the bi-mask strategy the row
+    permutation is re-searched only when ``iteration % delta_t == 0``.
+    Deterministic given (config.seed, iteration, layer.salt).
     """
-    old_masks = (layer.fwd_mask, layer.bwd_mask)
-    layer.fwd_mask = _new_forward_mask(layer)
-    layer._drop_derived()
-
-    stats = RefreshStats(mask_flip_count=0, eligible_blocks=0, total_blocks=0)
-    if layer.strategy is Strategy.BI_MASK:
-        masked = layer.masked_weights()
-        search = iteration % config.delta_t == 0
-        # a seed sequence costs about a tenth of a small layer's refresh, so
-        # only the search and the sampling criteria, which read one, draw it
-        seeds = (
-            np.random.SeedSequence([config.seed, iteration, layer.salt]).generate_state(2).tolist()
-            if search or criterion in _SEEDED_CRITERIA
-            else [None, None]
-        )
-        if search:
-            report = search_permutation(
-                masked, layer.pattern, config.k, current=layer.perm, seed=seeds[0]
-            )
-            layer.perm = report.chosen
-            stats.searched = True
-            stats.search_seconds = report.elapsed
-        _rebuild_backward_mask(layer, criterion, seeds[1])
-        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
-            layer._permuted_masked(), layer.pattern
-        )
-
-    for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
-        if old is not None:
-            stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
-    return stats
+    k = config.k if iteration % config.delta_t == 0 else None
+    return _build_masks(layer, criterion, k, [config.seed, iteration, layer.salt])
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -384,7 +378,7 @@ def train(
     delta_t on the bi-mask path), runs the sparse forward, propagates the
     strategy's backward gradient, and applies an SGD-with-momentum update to
     the dense weights. Fully deterministic given config.seed; a non-finite
-    loss aborts with the iteration index.
+    loss or updated weight aborts with the iteration index.
     """
     layers = list(layers)
     features = np.ascontiguousarray(data.x_train.T)
@@ -409,7 +403,7 @@ def train(
             x0 = features[:, idx]
             y = labels[idx]
 
-            step = RefreshStats(mask_flip_count=0, eligible_blocks=0, total_blocks=0)
+            step = RefreshStats()
             for layer in layers:
                 stats = refresh_masks(layer, t, config, criterion)
                 step.mask_flip_count += stats.mask_flip_count
@@ -447,6 +441,8 @@ def train(
                     v *= config.momentum
                     v += g_w + config.weight_decay * layer.w
                     layer.w = layer.w - lr * v
+                    if not np.isfinite(layer.w).all():
+                        raise DivergenceError(t)
 
             gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
             trace.steps.append(

@@ -173,11 +173,24 @@ class TestTrainCommand:
         assert err.startswith("usage error: ") and "'out_dir'" in err
         assert not out.exists()
 
-    def test_divergence_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"peak_lr = 0.1": "peak_lr = 1e25"},
+            # one layer: its weights overflow while the loss is still finite
+            {"hidden_dims = 16": "hidden_dims =", "peak_lr = 0.1": "peak_lr = 1e100",
+             "weight_decay = 0.0001": "weight_decay = 1.0"},
+        ],
+        ids=["hidden", "single-layer"],
+    )
+    def test_divergence_exit_3(self, tmp_path, capsys, edits):
         cfg = tmp_path / "cfg.txt"
         write_config(cfg, tmp_path / "run", extra="")
-        text = cfg.read_text().replace("peak_lr = 0.1", "peak_lr = 1e25")
-        cfg.write_text(text.replace("warmup_epochs = 1", "warmup_epochs = 0"))
+        text = cfg.read_text().replace("warmup_epochs = 1", "warmup_epochs = 0")
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg.write_text(text)
         assert main(["train", "--config", str(cfg)]) == 3
         assert "diverged" in capsys.readouterr().err
 

@@ -212,11 +212,16 @@ class TestBackwardMask:
         b = backward_mask(w, fwd, None, P24, **kw)
         assert np.array_equal(a.bits, b.bits)
 
-    def test_needs_seed_for_sampling(self):
+    @pytest.mark.parametrize(
+        "criterion",
+        [BinarizationCriterion.MULTINOMIAL_SAMPLING, BinarizationCriterion.RANDOM],
+        ids=lambda c: c.value,
+    )
+    def test_needs_seed_for_sampling(self, criterion):
         w = np.random.default_rng(0).normal(size=(4, 4))
         fwd = forward_mask(w, P24)
-        with pytest.raises(ValueError, match="seed"):
-            backward_mask(w, fwd, None, P24, BinarizationCriterion.RANDOM)
+        with pytest.raises(ValueError, match=f"^{criterion.value} criterion needs an explicit seed$"):
+            backward_mask(w, fwd, None, P24, criterion)
 
     def test_gradient_criterion_needs_gradient(self):
         w = np.random.default_rng(0).normal(size=(4, 4))

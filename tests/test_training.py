@@ -266,12 +266,22 @@ class TestRefreshMasks:
         assert refresh_masks(layer, 100, cfg).searched
         assert not refresh_masks(layer, 101, cfg).searched
 
-    def test_constant_weights_no_flips(self):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("pattern", [NmPattern.parse(p) for p in ("2:4", "1:16", "2:8")], ids=str)
+    def test_constant_weights_no_flips(self, pattern, strategy):
+        """A fresh layer's masks are those a non-search refresh builds from the same weights."""
         rng = np.random.default_rng(13)
-        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        layer = SparseLinearLayer(rng.normal(size=(32, 32)), pattern, strategy)
+        built = (layer.fwd_mask, layer.bwd_mask)
         cfg = TrainConfig(epochs=1, batch_size=1, delta_t=10**9, seed=0)
-        assert refresh_masks(layer, 1, cfg).mask_flip_count == 0
-        assert refresh_masks(layer, 2, cfg).mask_flip_count == 0
+        for iteration in (1, 2):
+            assert refresh_masks(layer, iteration, cfg).mask_flip_count == 0
+            assert np.array_equal(layer.perm, np.arange(32))
+            for got, want in zip((layer.fwd_mask, layer.bwd_mask), built):
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got.bits, want.bits)
+        assert (built[0] is None) == (strategy is Strategy.DENSE)
+        assert (built[1] is None) == (strategy is not Strategy.BI_MASK)
 
     def test_eligible_never_drops_below_incumbent_at_search(self):
         rng = np.random.default_rng(14)
@@ -382,11 +392,15 @@ class TestRefreshAgainstOracle:
     @pytest.mark.parametrize("strategy", [Strategy.VANILLA, Strategy.TRANSPOSABLE, Strategy.BI_MASK])
     def test_assigned_weights_drop_the_masked_cache(self, strategy):
         rng = np.random.default_rng(25)
-        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, strategy)
+        initial = rng.normal(size=(8, 8))
+        layer = SparseLinearLayer(initial, P24, strategy)
         refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
         before = layer.masked_weights()
         with pytest.raises(ValueError, match="read-only"):
             before[0, 0] = 1.0  # shared by every product until the next refresh
+        with pytest.raises(ValueError, match="read-only"):
+            layer.w[0, 0] = 1.0  # would leave the masked weights stale
+        assert initial.flags.writeable  # the caller's own array is left as it was
         layer.w = rng.normal(size=(8, 8))
         assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(layer.w))
         assert not np.array_equal(layer.masked_weights(), before)
@@ -549,15 +563,25 @@ class TestTrain:
             traces.append([(s.loss, s.grad_gap_l2, s.mask_flip_count) for s in trace])
         assert traces[0] == traces[1]
 
-    def test_divergence_aborts_with_iteration(self):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize(
+        "dims, overrides, iteration",
+        [
+            ([8, 8, 4], dict(peak_lr=1e25), 8),  # the loss overflows first
+            # one layer: its weights overflow while the loss is still finite
+            ([8, 4], dict(peak_lr=1e100, weight_decay=1.0), 4),
+        ],
+        ids=["hidden", "single-layer"],
+    )
+    def test_divergence_aborts_with_iteration(self, dims, overrides, iteration, strategy):
         rng = np.random.default_rng(22)
         data = blob_data(rng)
         cfg = TrainConfig(epochs=5, batch_size=16, delta_t=10**9, warmup_epochs=0,
-                          peak_lr=1e25, momentum=0.9, seed=0)
-        layers = init_layers([8, 8, 4], P24, Strategy.VANILLA, seed=0)
-        with pytest.raises(DivergenceError) as err:
+                          momentum=0.9, seed=0, **overrides)
+        layers = init_layers(dims, P24, strategy, seed=0)
+        with pytest.raises(DivergenceError, match="diverged") as err:
             train(layers, data, cfg)
-        assert err.value.iteration >= 1
+        assert err.value.iteration == iteration
 
     def test_metrics_row_count(self):
         rng = np.random.default_rng(23)

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Digest the deterministic artifacts of a fixed set of training runs.
+
+    python3 tools/artifact_digests.py <src-dir> > digests.txt
+
+Imports ``nm_sparse_kit`` from ``<src-dir>``, so one copy of this script
+digests two checkouts; a change that should keep behaviour byte-identical
+must print the same lines on both. Each line is ``sha256  name``:
+
+* every ``Strategy`` at 2:4, 1:16 and 2:8, with all four criteria on bimask,
+  at seeds 0 and 1 (10 epochs, delta_t 20, k 20, hidden layer 64), through
+  ``run_experiment``: every file it writes, with ``summary.csv`` digested
+  without the wall-clock ``search_seconds_total`` column;
+* the five configurations of the acceptance suite's trend criterion at
+  seed 0: final accuracy, every ``StepMetrics``, and each layer's weights,
+  permutation and masks.
+
+Runs write into a temporary directory under relative ``out_dir`` names, so
+``config.txt`` does not depend on where the script runs.
+"""
+
+import hashlib
+import itertools
+import os
+import sys
+import tempfile
+from dataclasses import astuple, replace
+
+import numpy as np
+
+PATTERNS = ("2:4", "1:16", "2:8")
+SEEDS = (0, 1)
+TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), ("bimask", "1:16"),
+                 ("transposable", "1:16"))
+WALL_CLOCK_COLUMNS = ("search_seconds_total",)
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "summary.csv":
+        rows = [line.split(",") for line in data.decode().splitlines()]
+        keep = [i for i, name in enumerate(rows[0]) if name not in WALL_CLOCK_COLUMNS]
+        data = "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def add_array(h, a) -> None:
+    a = np.ascontiguousarray(a)
+    h.update(f"{a.dtype}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
+def experiment_digests(kit):
+    criteria = list(kit.BinarizationCriterion)
+    for seed in SEEDS:
+        for text in PATTERNS:
+            for strategy in kit.Strategy:
+                for criterion in criteria if strategy is kit.Strategy.BI_MASK else criteria[:1]:
+                    name = f"{strategy.value}-{criterion.value}-{text.replace(':', 'of')}-s{seed}"
+                    cfg = kit.ExperimentConfig(
+                        strategy=strategy,
+                        pattern=kit.NmPattern.parse(text),
+                        criterion=criterion,
+                        out_dir=name,
+                        hidden_dims=(64,),
+                    )
+                    cfg = replace(cfg, train=replace(cfg.train, epochs=10, delta_t=20, k=20, seed=seed))
+                    kit.run_experiment(cfg)
+                    for file in sorted(os.listdir(name)):
+                        yield file_digest(os.path.join(name, file)), f"{name}/{file}"
+
+
+def trend_digests(kit, seed=0):
+    """The acceptance suite's trend_run, digested instead of scored."""
+    data = kit.generate_synthetic(classes=16, dim=32, per_class=40, spread=0.35, seed=seed)
+    cfg = kit.TrainConfig(
+        epochs=50, batch_size=32, delta_t=50, k=100, warmup_epochs=5,
+        peak_lr=0.1, momentum=0.9, weight_decay=1e-3, seed=seed,
+    )
+    for strategy, text in TREND_CONFIGS:
+        pattern = kit.NmPattern.parse(text)
+        layers = kit.init_layers([32, 128, 16], pattern, kit.Strategy(strategy), seed=seed)
+        layers, trace = kit.train(layers, data, cfg)
+        h = hashlib.sha256()
+        h.update(repr(kit.evaluate_accuracy(layers, data.x_train, data.y_train)).encode())
+        for step in trace:
+            h.update(repr(astuple(step)).encode())
+        for layer in layers:
+            add_array(h, layer.w)
+            add_array(h, layer.perm)
+            for mask in (layer.fwd_mask, layer.bwd_mask):
+                if mask is not None:
+                    add_array(h, mask.bits)
+        yield h.hexdigest(), f"trend-{strategy}-{text.replace(':', 'of')}-s{seed}"
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    import nm_sparse_kit as kit
+
+    print(f"digesting {kit.__file__}", file=sys.stderr)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for digest, name in itertools.chain(experiment_digests(kit), trend_digests(kit)):
+                print(f"{digest}  {name}")
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
