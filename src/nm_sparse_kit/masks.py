@@ -242,8 +242,13 @@ def backward_mask(
     return Mask(MaskDirection.BACKWARD, bits, pattern)
 
 
+def _counter_width(n: int) -> int:
+    """Bits of one row or column counter in ``_greedy_scan``: ceil(log2 n) + 1."""
+    return (n - 1).bit_length() + 1
+
+
 def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Greedy masks for a (tiles, m, m) stack of |w| tiles, all solved at once.
+    """Greedy masks for a (tiles, m, m) stack of |w| tiles, by argmax rounds.
 
     Per tile this is descending-magnitude insertion under the row and column
     budgets, the standard 1/2-approximation for this pair of partition
@@ -252,7 +257,9 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     stable descending sort visits them in. A taken entry, and every entry of
     a row or column that reaches n ones, is set to -1 (below any |w|), so a
     tile is done once its maximum is negative. Each round adds a one to every
-    tile still running, hence at most n * m rounds.
+    tile still running, hence at most n * m rounds, each about a dozen
+    fancy-indexed calls. Few rounds make this the faster kernel when 2n < m;
+    it also serves patterns whose counters do not fit ``_greedy_scan``'s word.
     """
     tiles = abs_tiles.shape[0]
     work = abs_tiles.copy()
@@ -276,6 +283,39 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
         full = col_used[t, c] == n
         work[t[full], :, c[full]] = -1.0
     return bits
+
+
+def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``_greedy_tiles``' masks, bit for bit, by one scan over each tile's sorted entries.
+
+    A stable argsort of -|w| visits each tile's entries in the rounds'
+    order: magnitude descending, ties to the lowest flat index. Step s then
+    keeps every tile's s-th entry whose row and column both hold fewer than
+    n ones, m * m vectorized steps in all. A tile's m row and m column
+    counters share one uint64, ``_counter_width(n)`` bits each (rows in the
+    low fields); each starts at 2**(width-1) - n, so its top bit sets exactly
+    when the budget fills, and a step is an AND with the entry's two top
+    bits, a compare with zero and an add where kept. Needs
+    2 * m * width <= 64 bits; it beats the rounds when 2n >= m.
+    """
+    tiles = abs_tiles.shape[0]
+    width = _counter_width(n)
+    field = np.uint64(1) << np.arange(0, 2 * m * width, width, dtype=np.uint64)
+    top = field << np.uint64(width - 1)
+    r, c = np.divmod(np.arange(m * m), m)
+    guard, one = top[r] | top[m + c], field[r] + field[m + c]
+    order = np.argsort(-abs_tiles.reshape(tiles, m * m), axis=1, kind="stable").T
+    guards, ones = guard[order], one[order]  # (m * m, tiles), step-major
+    counters = np.full(tiles, np.uint64((1 << (width - 1)) - n) * field.sum())
+    hit = np.empty(tiles, dtype=np.uint64)
+    kept = np.empty((m * m, tiles), dtype=bool)
+    for s in range(m * m):
+        np.bitwise_and(counters, guards[s], out=hit)
+        np.equal(hit, 0, out=kept[s])
+        np.add(counters, ones[s], out=counters, where=kept[s])
+    bits = np.zeros((m * m, tiles), dtype=np.uint8)
+    bits[order, np.arange(tiles)] = kept
+    return bits.T.reshape(tiles, m, m)
 
 
 # below every reachable path sum; sums involving it stay inside int64
@@ -402,7 +442,11 @@ def transposable_mask(
     ``_exact_tiles``), at most N * M rounds, for any M. ``TWO_APPROX``
     greedily inserts entries by descending magnitude (ties to the lowest
     row-major index in the tile) and is guaranteed at least half the exact
-    tile optimum, in at most N * M vectorized rounds.
+    tile optimum. Two kernels give the same greedy bit for bit, chosen from
+    (N, M) alone: when 2N >= M and the tile's 2M counters fit one uint64,
+    one scan of M * M vectorized steps over the sorted entries
+    (``_greedy_scan``); otherwise at most N * M argmax rounds
+    (``_greedy_tiles``), which are fewer when N is small against M.
     """
     w = matrix(w)
     n, m = pattern.n, pattern.m
@@ -413,6 +457,8 @@ def transposable_mask(
     tiles = np.abs(w).reshape(grid[0], m, grid[1], m).swapaxes(1, 2).reshape(-1, m, m)
     if method is TransposableMethod.EXACT:
         tile_bits = _exact_tiles(tiles, n, m)
+    elif 2 * n >= m and 2 * m * _counter_width(n) <= 64:
+        tile_bits = _greedy_scan(tiles, n, m)
     else:
         tile_bits = _greedy_tiles(tiles, n, m)
     bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)

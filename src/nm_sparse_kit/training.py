@@ -132,8 +132,9 @@ class SparseLinearLayer:
 
     The masked weights and their permuted rows are built at most once per
     mask refresh and shared by every product and count that reads them.
-    Assigning ``w`` drops them. ``w`` itself is read-only, since an in-place
-    edit would leave them stale; assign new weights instead.
+    Assigning ``w`` drops them. The layer keeps its own read-only copy of
+    every array given as ``w``, since an in-place edit, by the caller or
+    through ``w``, would leave them stale; assign new weights instead.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
@@ -154,7 +155,7 @@ class SparseLinearLayer:
 
     @w.setter
     def w(self, value: np.ndarray) -> None:
-        self._w = _read_only(value.view())
+        self._w = _read_only(value.copy())
         self._drop_derived()
 
     def _drop_derived(self) -> None:

@@ -147,7 +147,7 @@ def test_03_search_oracle_equivalence():
 def test_04_two_approximation_bound():
     with Criterion(4, "transposable-2-approximation", budget_seconds=60.0):
         rng = np.random.default_rng(404)
-        for text, trials in (("2:4", 200), ("1:8", 50), ("2:8", 50), ("4:8", 50), ("1:16", 50)):
+        for text, trials in (("2:4", 200), ("1:8", 50), ("2:8", 50), ("4:8", 50), ("1:16", 50), ("3:4", 50)):
             pattern = kit.NmPattern.parse(text)
             for trial in range(trials):
                 size = pattern.m if trial % 2 == 0 else 2 * pattern.m

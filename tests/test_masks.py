@@ -28,6 +28,9 @@ from nm_sparse_kit.masks import (
 )
 from nm_sparse_kit.masks import (
     _block_keep_positions,
+    _counter_width,
+    _greedy_scan,
+    _greedy_tiles,
     _sampling_keys,
     _top_n,
     _transposable_count_dp,
@@ -498,6 +501,15 @@ class TestTransposableProperties:
         assert (exact_tiles >= approx_tiles * (1 - 1e-12)).all()
         assert (approx_tiles >= 0.5 * exact_tiles * (1 - 1e-12)).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(tile_matrices())
+    def test_approx_equals_the_per_tile_greedy_oracle(self, case):
+        # M up to 16 puts cases on both kernels, and on both sides of the
+        # scan's word limit (8:16 takes the rounds)
+        w, pattern = case
+        approx = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+        assert np.array_equal(approx.bits, greedy_mask_oracle(w, pattern))
+
 
 def feasible_tiles(n, m):
     """Every m x m 0/1 tile with row and column sums <= n, by brute force over 2^(m*m) codes."""
@@ -538,7 +550,17 @@ def greedy_mask_oracle(w, pattern):
     return bits
 
 
-GREEDY_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "1:8", "2:8", "4:8", "1:16")]
+GREEDY_PATTERNS = [
+    NmPattern.parse(p)
+    for p in ("2:2", "2:3", "1:4", "2:4", "3:4", "1:8", "2:8", "4:8", "6:8", "1:16", "8:16")
+]
+# every pattern _greedy_scan serves: 2n >= m and 2m counters in one uint64
+SCAN_PATTERNS = [
+    NmPattern(n, m)
+    for m in range(2, 17)
+    for n in range(1, m + 1)
+    if 2 * n >= m and 2 * m * _counter_width(n) <= 64
+]
 
 
 def greedy_cases(pattern, seed):
@@ -735,6 +757,13 @@ class TestTransposableMask:
         for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n):
             mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
             assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_greedy_scan_matches_the_rounds(self, pattern):
+        n, m = pattern.n, pattern.m
+        for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 2):
+            tiles = tiles_of(np.abs(w), m)
+            assert np.array_equal(_greedy_scan(tiles, n, m), _greedy_tiles(tiles, n, m))
 
     @pytest.mark.parametrize("pattern", GREEDY_PATTERNS, ids=str)
     def test_greedy_is_maximal(self, pattern):

@@ -409,6 +409,20 @@ class TestRefreshAgainstOracle:
             perm = layer.perm
             assert np.array_equal(backward_bimask(g, layer), (layer.bwd_mask.bits * layer.w[perm]).T @ g[perm])
 
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_callers_arrays_do_not_alias_the_weights(self, strategy):
+        rng = np.random.default_rng(26)
+        initial = rng.normal(size=(8, 8))
+        layer = SparseLinearLayer(initial, P24, strategy)
+        for source in (initial, rng.normal(size=(8, 8))):
+            if source is not initial:
+                layer.w = source
+            w, masked = source.copy(), layer.masked_weights().copy()
+            assert not np.shares_memory(layer.w, source)
+            source[:] = 100.0
+            assert np.array_equal(layer.w, w)
+            assert np.array_equal(layer.masked_weights(), masked)
+
 
 def train_oracle(layers, data, config, criterion):
     """train() as two phases: every layer's products first, then every update.

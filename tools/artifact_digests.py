@@ -11,9 +11,14 @@ must print the same lines on both. Each line is ``sha256  name``:
   at seeds 0 and 1 (10 epochs, delta_t 20, k 20, hidden layer 64), through
   ``run_experiment``: every file it writes, with ``summary.csv`` digested
   without the wall-clock ``search_seconds_total`` column;
+* one more transposable run at 4:8, seed 0, whose layers take the greedy
+  scan kernel rather than the argmax rounds of 2:8 and 1:16;
 * the five configurations of the acceptance suite's trend criterion at
   seed 0: final accuracy, every ``StepMetrics``, and each layer's weights,
-  permutation and masks.
+  permutation and masks;
+* ``TWO_APPROX`` transposable masks of fixed random, tie-heavy and
+  zero-heavy 48 x 48 matrices at patterns on both sides of the greedy's
+  kernel choice, including 8:16, whose counters do not fit the scan.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -33,6 +38,7 @@ SEEDS = (0, 1)
 TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), ("bimask", "1:16"),
                  ("transposable", "1:16"))
 WALL_CLOCK_COLUMNS = ("search_seconds_total",)
+APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
 
 
 def file_digest(path: str) -> str:
@@ -51,24 +57,29 @@ def add_array(h, a) -> None:
     h.update(a.tobytes())
 
 
+def run_digests(kit, strategy, criterion, text, seed):
+    name = f"{strategy.value}-{criterion.value}-{text.replace(':', 'of')}-s{seed}"
+    cfg = kit.ExperimentConfig(
+        strategy=strategy,
+        pattern=kit.NmPattern.parse(text),
+        criterion=criterion,
+        out_dir=name,
+        hidden_dims=(64,),
+    )
+    cfg = replace(cfg, train=replace(cfg.train, epochs=10, delta_t=20, k=20, seed=seed))
+    kit.run_experiment(cfg)
+    for file in sorted(os.listdir(name)):
+        yield file_digest(os.path.join(name, file)), f"{name}/{file}"
+
+
 def experiment_digests(kit):
     criteria = list(kit.BinarizationCriterion)
     for seed in SEEDS:
         for text in PATTERNS:
             for strategy in kit.Strategy:
                 for criterion in criteria if strategy is kit.Strategy.BI_MASK else criteria[:1]:
-                    name = f"{strategy.value}-{criterion.value}-{text.replace(':', 'of')}-s{seed}"
-                    cfg = kit.ExperimentConfig(
-                        strategy=strategy,
-                        pattern=kit.NmPattern.parse(text),
-                        criterion=criterion,
-                        out_dir=name,
-                        hidden_dims=(64,),
-                    )
-                    cfg = replace(cfg, train=replace(cfg.train, epochs=10, delta_t=20, k=20, seed=seed))
-                    kit.run_experiment(cfg)
-                    for file in sorted(os.listdir(name)):
-                        yield file_digest(os.path.join(name, file)), f"{name}/{file}"
+                    yield from run_digests(kit, strategy, criterion, text, seed)
+    yield from run_digests(kit, kit.Strategy.TRANSPOSABLE, criteria[0], "4:8", 0)
 
 
 def trend_digests(kit, seed=0):
@@ -95,6 +106,18 @@ def trend_digests(kit, seed=0):
         yield h.hexdigest(), f"trend-{strategy}-{text.replace(':', 'of')}-s{seed}"
 
 
+def approx_digests(kit, seed=0):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(48, 48))  # 48 is a multiple of every M in APPROX_PATTERNS
+    zero_heavy = np.where(rng.random(w.shape) < 0.5, 0.0, w)
+    for kind, matrix in (("random", w), ("ties", np.round(w, 1)), ("zeros", zero_heavy)):
+        for text in APPROX_PATTERNS:
+            mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), kit.TransposableMethod.TWO_APPROX)
+            h = hashlib.sha256()
+            add_array(h, mask.bits)
+            yield h.hexdigest(), f"approx-{kind}-{text.replace(':', 'of')}"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -107,7 +130,8 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for digest, name in itertools.chain(experiment_digests(kit), trend_digests(kit)):
+            digests = itertools.chain(experiment_digests(kit), trend_digests(kit), approx_digests(kit))
+            for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
             os.chdir(here)
