@@ -102,7 +102,7 @@ class BlockViolation:
     limit: int
 
 
-def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
+def _top_n_rounds(keys: np.ndarray, n: int) -> np.ndarray:
     """The n largest keys of each row of (blocks, m) keys, as 0/1 uint8.
 
     Ties keep the lowest index, as in a stable descending sort: each of n
@@ -113,7 +113,7 @@ def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     """
     blocks, m = keys.shape
     if 2 * n > m:
-        return 1 - _top_n(-keys[:, ::-1], m - n)[:, ::-1]
+        return 1 - _top_n_rounds(-keys[:, ::-1], m - n)[:, ::-1]
     work = np.ascontiguousarray(keys, dtype=np.float64)
     has_neg_inf = work.min() == -np.inf
     bits = np.zeros((blocks, m), dtype=np.uint8)
@@ -130,31 +130,84 @@ def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
+def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
+    """The n largest keys of every block of block-major (m, ...) keys, as 0/1 uint8.
+
+    An entry's rank is the number of block entries that beat it: strictly
+    greater, or equal at a lower index. That is its place in a stable
+    descending sort, -inf included, and rank < n keeps the top n. Rank i
+    starts at m - 1 - i, as if every later entry beat it; the pass for i
+    compares it with the later entries at once, adds one to each it beats
+    and takes that count off its own rank, m (m - 1) / 2 compares in all.
+    The compares run along the last axis, so that axis should be contiguous.
+    The result has the layout of ``keys``.
+    """
+    m = keys.shape[0]
+    rank = np.empty_like(keys, dtype=np.min_scalar_type(m - 1))
+    rank[...] = np.arange(m - 1, -1, -1, dtype=rank.dtype).reshape(-1, *[1] * (keys.ndim - 1))
+    for i in range(m - 1):
+        beaten = (keys[i] >= keys[i + 1 :]).view(np.uint8)  # as uint8, the adds need no cast
+        rank[i + 1 :] += beaten
+        rank[i] -= beaten.sum(axis=0, dtype=rank.dtype)
+    return (rank < n).view(np.uint8)
+
+
+def _uses_ranks(n: int, m: int) -> bool:
+    """Whether ``_top_n`` takes n of every m keys by ranks rather than rounds.
+
+    The min(n, m - n) argmax rounds of ``_top_n_rounds`` are fewer calls
+    than the m - 1 rank passes when that count is at most one (1:m and
+    (m-1):m, or n = 0 and n = m); the ranks win otherwise.
+    """
+    return min(n, m - n) > 1
+
+
+def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
+    """The n largest keys of every block of block-major (m, ...) keys, as 0/1 uint8.
+
+    Axis 0 runs along each block of m keys, and the result is indexed like
+    ``keys``. Ties keep the lowest index, as in a stable descending sort.
+    ``_uses_ranks`` picks the kernel from (n, m) alone: ``_top_n_ranks``
+    reads ``keys`` in place and wants its last axis contiguous;
+    ``_top_n_rounds`` reads one block per row, with axis 0 moved last, and
+    may overwrite ``keys``.
+    """
+    m = keys.shape[0]
+    if _uses_ranks(n, m):
+        return _top_n_ranks(keys, n)
+    rows = keys.transpose(*range(1, keys.ndim), 0)
+    bits = _top_n_rounds(rows.reshape(-1, m), n).reshape(rows.shape)
+    return bits.transpose(-1, *range(keys.ndim - 1))
+
+
 def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     """Row-blockwise top-N magnitude mask (the vanilla forward mask).
 
     Within each block of M contiguous columns of a row, the N largest |w|
-    entries survive; magnitude ties keep the lowest column index (the first
-    maximum of each argmax round), so the result is deterministic and has
-    exactly N ones per block.
+    entries survive; magnitude ties keep the lowest column index (the place
+    of a stable descending sort; see ``_top_n`` for its two kernels), so the
+    result is deterministic and has exactly N ones per block.
     """
     w = matrix(w)
+    n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    check_divisible(cols, pattern.m, "matrix cols")
-    bits = _top_n(np.abs(w).reshape(-1, pattern.m), pattern.n)
+    check_divisible(cols, m, "matrix cols")
+    # |w| as (m, blocks): a block-major copy for the ranks, a view of the rows for the rounds
+    keys = np.abs(w.reshape(-1, m).T, order="C" if _uses_ranks(n, m) else "K")
+    bits = _top_n(keys, n).T
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
 
 
 def _block_keep_positions(keys: np.ndarray, n: int, m: int) -> np.ndarray:
     """Keep the n highest-key positions in every column block of m rows.
 
-    ``keys`` is (rows, cols); each block is copied into a contiguous row for
-    ``_top_n``, so ties resolve to the lowest row index. Returns a uint8
+    ``keys`` is (rows, cols); its blocks reach ``_top_n`` as a block-major
+    view, so ties resolve to the lowest row index. Returns a uint8
     selection matrix with exactly n ones per column block.
     """
     rows, cols = keys.shape
-    sel = _top_n(keys.reshape(rows // m, m, cols).swapaxes(1, 2).reshape(-1, m), n)
-    return sel.reshape(rows // m, cols, m).swapaxes(1, 2).reshape(rows, cols)
+    sel = _top_n(keys.reshape(rows // m, m, cols).swapaxes(0, 1), n)
+    return sel.swapaxes(0, 1).reshape(rows, cols)
 
 
 def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

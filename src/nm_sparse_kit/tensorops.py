@@ -70,9 +70,9 @@ class NmPattern:
 # row per line. %.17g keeps float64 round-trips exact.
 
 def format_matrix(a: np.ndarray) -> str:
+    # tolist() yields Python floats and ints, which format as their numpy scalars do
     lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    lines.extend(" ".join(map("{:.17g}".format, row)) for row in a.tolist())
     return "\n".join(lines) + "\n"
 
 

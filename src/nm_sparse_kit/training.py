@@ -155,7 +155,11 @@ class SparseLinearLayer:
 
     @w.setter
     def w(self, value: np.ndarray) -> None:
-        self._w = _read_only(value.copy())
+        self._own_w(value.copy())
+
+    def _own_w(self, value: np.ndarray) -> None:
+        """Store ``value`` as the weights without a copy; no one else may hold it."""
+        self._w = _read_only(value)
         self._drop_derived()
 
     def _drop_derived(self) -> None:
@@ -441,7 +445,7 @@ def train(
                     v = velocities[i]
                     v *= config.momentum
                     v += g_w + config.weight_decay * layer.w
-                    layer.w = layer.w - lr * v
+                    layer._own_w(layer.w - lr * v)
                     if not np.isfinite(layer.w).all():
                         raise DivergenceError(t)
 

@@ -33,7 +33,10 @@ from nm_sparse_kit.masks import (
     _greedy_tiles,
     _sampling_keys,
     _top_n,
+    _top_n_ranks,
+    _top_n_rounds,
     _transposable_count_dp,
+    _uses_ranks,
 )
 from nm_sparse_kit.tensorops import NmPattern
 
@@ -292,7 +295,11 @@ def sampling_keys_unscaled(stat, m, rng):
     return keys.reshape(rows, cols)
 
 
-KERNEL_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "4:4", "1:8", "4:8", "1:16", "16:16")]
+# both sides of _uses_ranks: argmax rounds at 1:M, (M-1):M and M:M, pairwise ranks otherwise
+KERNEL_PATTERNS = [
+    NmPattern.parse(p)
+    for p in ("1:4", "2:4", "3:4", "4:4", "1:8", "2:8", "3:8", "4:8", "6:8", "1:16", "8:16", "16:16")
+]
 NEAR_MAX = 1.7e308
 
 
@@ -344,7 +351,8 @@ class TestTopNKernel:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
     def test_keys_with_infinities_and_signed_zeros(self, m):
-        # -inf keys must never let a taken slot be picked twice
+        # -inf keys must never let a taken slot be picked twice; each kernel
+        # is checked at every n, not only where _uses_ranks sends it
         rng = np.random.default_rng(100 + m)
         values = [-np.inf, -1e308, -1.0, -0.0, 0.0, 1e-300, 1.0, np.inf]
         for n in range(0, m + 1):
@@ -352,10 +360,35 @@ class TestTopNKernel:
                 keys = rng.choice(values, size=(9, m))
                 keys[rng.random((9, m)) < 0.3] = -np.inf
                 keys[0] = -np.inf
-                assert np.array_equal(_top_n(keys.copy(), n), top_n_sort_oracle(keys, n))
+                expected = top_n_sort_oracle(keys, n)
+                assert np.array_equal(_top_n_rounds(keys.copy(), n), expected)
+                assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
+                assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
                 assert np.array_equal(
                     _block_keep_positions(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m)
                 )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_both_kernels_match_stable_sort(self, data):
+        m = data.draw(st.integers(2, 16))
+        n = data.draw(st.integers(0, m))
+        values = st.sampled_from([-np.inf, np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1e308])
+        keys = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), m), elements=values))
+        expected = top_n_sort_oracle(keys, n)
+        assert np.array_equal(_top_n_rounds(keys.copy(), n), expected)
+        assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
+        assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
+
+    def test_ranks_need_a_wide_enough_counter(self):
+        # at M = 258 a rank reaches 257, which does not fit in a uint8
+        p = NmPattern(3, 258)
+        assert _uses_ranks(p.n, p.m)
+        rng = np.random.default_rng(258)
+        w = np.round(rng.normal(size=(2, 258)), 1)
+        assert np.array_equal(forward_mask(w, p).bits, forward_sort_oracle(w, p))
+        keys = np.abs(w.T)
+        assert np.array_equal(_block_keep_positions(keys, p.n, p.m), column_block_sort_oracle(keys, p.n, p.m))
 
 
 class TestSamplingKeys:

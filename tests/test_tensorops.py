@@ -71,6 +71,22 @@ class TestSerialization:
     def test_round_trip_property(self, a):
         assert parse_matrix(format_matrix(a)).tobytes() == a.tobytes()
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[5e-324, -5e-324, 2.2250738585072009e-308, 1e-310], [-0.0, 0.0, 1.7e308, -1.7e308]]),
+            np.array([[1e16, 2.0**53 + 2, 123456789012345678.0, -1e17]]),
+            np.array([[10**16, 2**53 + 1, -(2**62)], [0, 1, -1]], dtype=np.int64),
+            np.random.default_rng(5).integers(0, 2, size=(4, 8), dtype=np.uint8),
+            np.random.default_rng(6).normal(size=(3, 5)) * 10.0 ** np.arange(-150, 150, 20).reshape(3, 5),
+        ],
+        ids=["subnormals-and-signed-zeros", "large-floats", "large-ints", "uint8-bits", "random"],
+    )
+    def test_format_matches_one_format_per_numpy_scalar(self, a):
+        # the formatter reads Python scalars from tolist(); each must print as its numpy scalar
+        rows = [" ".join(f"{v:.17g}" for v in row) for row in a]
+        assert format_matrix(a) == f"{a.shape[0]} {a.shape[1]}\n" + "\n".join(rows) + "\n"
+
     def test_format_header(self):
         text = format_matrix(matrix([[1.5, -2.0]]))
         lines = text.splitlines()

@@ -423,6 +423,19 @@ class TestRefreshAgainstOracle:
             assert np.array_equal(layer.w, w)
             assert np.array_equal(layer.masked_weights(), masked)
 
+    def test_train_takes_ownership_of_its_updated_weights(self):
+        # train() builds each update itself, so it stores that array without the setter's copy
+        rng = np.random.default_rng(27)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        before = layer.masked_weights()
+        update = rng.normal(size=(8, 8))
+        layer._own_w(update)
+        assert layer.w is update
+        with pytest.raises(ValueError, match="read-only"):
+            layer.w[0, 0] = 1.0
+        assert layer.masked_weights() is not before
+        assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(update))
+
 
 def train_oracle(layers, data, config, criterion):
     """train() as two phases: every layer's products first, then every update.

@@ -18,7 +18,11 @@ must print the same lines on both. Each line is ``sha256  name``:
   permutation and masks;
 * ``TWO_APPROX`` transposable masks of fixed random, tie-heavy and
   zero-heavy 48 x 48 matrices at patterns on both sides of the greedy's
-  kernel choice, including 8:16, whose counters do not fit the scan.
+  kernel choice, including 8:16, whose counters do not fit the scan;
+* forward masks of the same matrices, and backward masks under all four
+  criteria (fixed permutation, gradient and seed), at patterns on both
+  sides of the top-N kernel choice: argmax rounds at 1:M and (M-1):M,
+  pairwise ranks otherwise.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -39,6 +43,7 @@ TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), (
                  ("transposable", "1:16"))
 WALL_CLOCK_COLUMNS = ("search_seconds_total",)
 APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
+TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16")
 
 
 def file_digest(path: str) -> str:
@@ -106,16 +111,39 @@ def trend_digests(kit, seed=0):
         yield h.hexdigest(), f"trend-{strategy}-{text.replace(':', 'of')}-s{seed}"
 
 
-def approx_digests(kit, seed=0):
+def fixed_matrices(seed=0):
+    """Random, tie-heavy and zero-heavy 48 x 48 matrices; 48 is a multiple of every M used on them."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=(48, 48))  # 48 is a multiple of every M in APPROX_PATTERNS
+    w = rng.normal(size=(48, 48))
     zero_heavy = np.where(rng.random(w.shape) < 0.5, 0.0, w)
-    for kind, matrix in (("random", w), ("ties", np.round(w, 1)), ("zeros", zero_heavy)):
+    return ("random", w), ("ties", np.round(w, 1)), ("zeros", zero_heavy)
+
+
+def mask_digest(mask) -> str:
+    h = hashlib.sha256()
+    add_array(h, mask.bits)
+    return h.hexdigest()
+
+
+def approx_digests(kit):
+    for kind, matrix in fixed_matrices():
         for text in APPROX_PATTERNS:
             mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), kit.TransposableMethod.TWO_APPROX)
-            h = hashlib.sha256()
-            add_array(h, mask.bits)
-            yield h.hexdigest(), f"approx-{kind}-{text.replace(':', 'of')}"
+            yield mask_digest(mask), f"approx-{kind}-{text.replace(':', 'of')}"
+
+
+def top_n_digests(kit, seed=1):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(48)
+    gradient = np.round(rng.normal(size=(48, 48)), 1)
+    for kind, matrix in fixed_matrices():
+        for text in TOP_N_PATTERNS:
+            pattern, name = kit.NmPattern.parse(text), f"{kind}-{text.replace(':', 'of')}"
+            fwd = kit.forward_mask(matrix, pattern)
+            yield mask_digest(fwd), f"forward-{name}"
+            for criterion in kit.BinarizationCriterion:
+                bwd = kit.backward_mask(matrix, fwd, perm, pattern, criterion, gradient=gradient, seed=seed)
+                yield mask_digest(bwd), f"backward-{criterion.value}-{name}"
 
 
 def main(argv) -> int:
@@ -130,7 +158,8 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            digests = itertools.chain(experiment_digests(kit), trend_digests(kit), approx_digests(kit))
+            digests = itertools.chain(experiment_digests(kit), trend_digests(kit), approx_digests(kit),
+                                      top_n_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
