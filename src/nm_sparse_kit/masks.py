@@ -198,21 +198,11 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
 
 
-def _block_keep_positions(keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Keep the n highest-key positions in every column block of m rows.
-
-    ``keys`` is (rows, cols); its blocks reach ``_top_n`` as a block-major
-    view, so ties resolve to the lowest row index. Returns a uint8
-    selection matrix with exactly n ones per column block.
-    """
-    rows, cols = keys.shape
-    sel = _top_n(keys.reshape(rows // m, m, cols).swapaxes(0, 1), n)
-    return sel.swapaxes(0, 1).reshape(rows, cols)
-
-
-def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+def _sampling_keys(stat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Gumbel-top-N keys for sampling blocks proportionally to ``stat``.
 
+    ``stat`` and the keys are slot-major (m, blocks, cols), as ``backward_mask``
+    ranks them; the draws fill (blocks, m, cols), the permuted row order.
     Positive-statistic entries get log(p) + Gumbel noise, which drawn top-N
     is multinomial sampling without replacement. Zero entries sit in a band
     far below any positive key with uniform noise, so all-zero blocks fall
@@ -222,21 +212,32 @@ def _sampling_keys(stat: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     underflows to zero takes log(x) - log(scale) - log(total / scale) for
     log(p), where scale is the block's divisor (1 unless its total overflows).
     """
-    rows, cols = stat.shape
-    raw = stat.reshape(rows // m, m, cols)
+    m, blocks, cols = stat.shape
     with np.errstate(over="ignore"):
-        totals = raw.sum(axis=1, keepdims=True)
-    blocked, log_scale = raw, 0.0
+        totals = stat.sum(axis=0)
+    blocked, log_scale = stat, 0.0
     if np.isinf(totals).any():
-        scale = np.where(np.isinf(totals), raw.max(axis=1, keepdims=True), 1.0)
-        blocked, log_scale = raw / scale, np.log(scale)
-        totals = blocked.sum(axis=1, keepdims=True)
+        scale = np.where(np.isinf(totals), stat.max(axis=0), 1.0)
+        blocked, log_scale = stat / scale, np.log(scale)
+        totals = blocked.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = blocked / totals
-        logp = np.where(ratio > 0, np.log(ratio), np.log(raw) - log_scale - np.log(totals))
-        gumbel = -np.log(-np.log(rng.random(raw.shape)))
-    keys = np.where(raw > 0, logp + gumbel, -1e12 + rng.random(raw.shape))
-    return keys.reshape(rows, cols)
+        logp = np.where(ratio > 0, np.log(ratio), np.log(stat) - log_scale - np.log(totals))
+        gumbel = -np.log(-np.log(rng.random((blocks, m, cols)).swapaxes(0, 1)))
+    return np.where(stat > 0, logp + gumbel, -1e12 + rng.random((blocks, m, cols)).swapaxes(0, 1))
+
+
+def _masked_magnitudes(a: np.ndarray, order: np.ndarray, fwd_slots: np.ndarray) -> np.ndarray:
+    """|a| where the slot-major forward bits are set, else 0, in one buffer.
+
+    The rows of ``a`` are gathered once in ``order``, straight into the
+    slot-major shape of ``fwd_slots``; the absolute value and the bits are
+    applied in place, so no second full-size array is made.
+    """
+    keys = np.take(a, order, axis=0).reshape(fwd_slots.shape)
+    np.abs(keys, out=keys)
+    keys *= fwd_slots
+    return keys
 
 
 def backward_mask(
@@ -257,6 +258,11 @@ def backward_mask(
     permuted forward bit and everything else is zeroed. The returned bits
     are therefore indexed in the *permuted* row order and never exceed the
     permuted forward mask.
+
+    The statistic is built slot-major, (M, blocks, cols) with row i of every
+    block together: the rows are gathered once straight into that order,
+    so ``_top_n`` reads each block along axis 0 of one buffer, and only the
+    uint8 result is swapped back to permuted row order.
     """
     w = matrix(w)
     n, m = pattern.n, pattern.m
@@ -272,27 +278,29 @@ def backward_mask(
     if criterion in SEEDED_CRITERIA and seed is None:
         raise ValueError(f"{criterion.value} criterion needs an explicit seed")
 
-    fwd_perm = fwd.bits[perm]
-    masked_perm = fwd_perm * w[perm]
+    blocks = rows // m
+    order = perm.reshape(blocks, m).T.ravel()
+    fwd_slots = fwd.bits[order].reshape(m, blocks, cols)
 
     if criterion is BinarizationCriterion.WEIGHT_MAGNITUDE:
-        keys = np.abs(masked_perm)
+        keys = _masked_magnitudes(w, order, fwd_slots)
     elif criterion is BinarizationCriterion.GRADIENT_MAGNITUDE:
         if gradient is None:
             raise ValueError("gradient-magnitude criterion needs a gradient matrix")
         gradient = matrix(gradient)
         if gradient.shape != w.shape:
             raise ValueError(f"gradient shape {gradient.shape} does not match matrix {w.shape}")
-        keys = np.abs(fwd_perm * gradient[perm])
+        keys = _masked_magnitudes(gradient, order, fwd_slots)
     elif criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
-        keys = _sampling_keys(np.abs(masked_perm), m, np.random.default_rng(seed))
+        keys = _sampling_keys(_masked_magnitudes(w, order, fwd_slots), np.random.default_rng(seed))
     elif criterion is BinarizationCriterion.RANDOM:
-        keys = np.random.default_rng(seed).random(w.shape)
+        keys = np.random.default_rng(seed).random((blocks, m, cols)).swapaxes(0, 1)
     else:  # pragma: no cover
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    bits = _block_keep_positions(keys, n, m) * fwd_perm
-    return Mask(MaskDirection.BACKWARD, bits, pattern)
+    bits = np.empty((blocks, m, cols), dtype=np.uint8)
+    np.multiply(_top_n(keys, n).swapaxes(0, 1), fwd_slots.swapaxes(0, 1), out=bits)
+    return Mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)
 
 
 def _counter_width(n: int) -> int:

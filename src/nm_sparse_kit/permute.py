@@ -26,11 +26,20 @@ def identity_permutation(rows: int) -> np.ndarray:
 
 
 def check_permutation(perm, rows: int) -> np.ndarray:
-    """Validate a bijection over {0, ..., rows-1} and return it as int64."""
-    p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (rows,) or not np.array_equal(np.sort(p), np.arange(rows)):
-        raise ValueError(f"not a permutation of {rows} row indices: {perm!r}")
-    return p
+    """Validate a bijection over {0, ..., rows-1} and return it as int64.
+
+    Entries must have an integer dtype: floats and strings are rejected, not
+    truncated. A range check comes first, so negative indices never wrap.
+    """
+    p = np.asarray(perm)
+    if p.dtype.kind in "iu" and p.shape == (rows,):
+        p = p.astype(np.int64, copy=False)
+        if rows == 0 or (p.min() >= 0 and p.max() < rows):
+            seen = np.zeros(rows, dtype=bool)
+            seen[p] = True
+            if seen.all():
+                return p
+    raise ValueError(f"not a permutation of {rows} row indices: {perm!r}")
 
 
 @dataclass
@@ -77,29 +86,28 @@ def _pack_nonzeros(masked_w: np.ndarray) -> np.ndarray:
     return np.packbits(nonzero, axis=1).view(np.uint64)
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of every uint64 word, by the SWAR sum of adjacent bit fields."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
 def _ineligible_counts(packed: np.ndarray, perms: np.ndarray, n: int, m: int) -> np.ndarray:
     """Ineligible column blocks of the packed pattern under each row permutation.
 
     ``perms`` is (candidates, rows). Over the m rows of every block, bit plane
     i holds the columns with at least i + 1 non-zeros so far, so plane n
-    marks the columns with more than n: its popcount is the count.
+    marks the columns with more than n: its popcount is the count. Plane i
+    is all zeros before the block's row i, so it starts there; at n = m
+    plane n is never reached and every block is eligible.
     """
+    if n == m:
+        return np.zeros(len(perms), dtype=np.int64)
     rows, words = packed.shape
-    planes = np.zeros((n + 1, len(perms), rows // m, words), dtype=np.uint64)
-    for j in range(m):
+    planes = np.empty((n + 1, len(perms), rows // m, words), dtype=np.uint64)
+    planes[0] = np.take(packed, perms[:, 0::m], axis=0)
+    for j in range(1, m):
         x = np.take(packed, perms[:, j::m], axis=0)
-        for i in range(n, 0, -1):
+        if j <= n:
+            np.bitwise_and(planes[j - 1], x, out=planes[j])
+        for i in range(min(j - 1, n), 0, -1):
             planes[i] |= planes[i - 1] & x
         planes[0] |= x
-    return _popcount(planes[n]).reshape(len(perms), -1).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(planes[n]).reshape(len(perms), -1).sum(axis=1, dtype=np.int64)
 
 
 def _best_permutation(

@@ -27,7 +27,6 @@ from nm_sparse_kit.masks import (
     validate_mask,
 )
 from nm_sparse_kit.masks import (
-    _block_keep_positions,
     _counter_width,
     _greedy_scan,
     _greedy_tiles,
@@ -271,6 +270,27 @@ def column_block_sort_oracle(keys, n, m):
     return sel.reshape(rows, cols)
 
 
+def slot_major(a, m):
+    """(rows, cols) in row order as the (m, blocks, cols) layout backward_mask ranks."""
+    rows, cols = a.shape
+    return np.ascontiguousarray(a.reshape(rows // m, m, cols).swapaxes(0, 1))
+
+
+def row_order(slots):
+    m, blocks, cols = slots.shape
+    return slots.swapaxes(0, 1).reshape(blocks * m, cols)
+
+
+def column_block_top_n(keys, n, m):
+    """backward_mask's top-N of (rows, cols) keys, through the slot-major layout."""
+    return row_order(_top_n(slot_major(keys, m), n))
+
+
+def sampling_keys(stat, m, rng):
+    """_sampling_keys of a (rows, cols) statistic, in row order."""
+    return row_order(_sampling_keys(slot_major(stat, m), rng))
+
+
 def criterion_keys(w, fwd, perm, pattern, criterion, gradient, seed):
     """The selection statistic backward_mask ranks, for each criterion."""
     fwd_perm = fwd.bits[perm]
@@ -279,7 +299,7 @@ def criterion_keys(w, fwd, perm, pattern, criterion, gradient, seed):
     if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE:
         return np.abs(fwd_perm * gradient[perm])
     if criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
-        return _sampling_keys(np.abs(fwd_perm * w[perm]), pattern.m, np.random.default_rng(seed))
+        return sampling_keys(np.abs(fwd_perm * w[perm]), pattern.m, np.random.default_rng(seed))
     return np.random.default_rng(seed).random(w.shape)
 
 
@@ -365,7 +385,7 @@ class TestTopNKernel:
                 assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
                 assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
                 assert np.array_equal(
-                    _block_keep_positions(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m)
+                    column_block_top_n(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m)
                 )
 
     @settings(max_examples=150, deadline=None)
@@ -388,7 +408,7 @@ class TestTopNKernel:
         w = np.round(rng.normal(size=(2, 258)), 1)
         assert np.array_equal(forward_mask(w, p).bits, forward_sort_oracle(w, p))
         keys = np.abs(w.T)
-        assert np.array_equal(_block_keep_positions(keys, p.n, p.m), column_block_sort_oracle(keys, p.n, p.m))
+        assert np.array_equal(column_block_top_n(keys, p.n, p.m), column_block_sort_oracle(keys, p.n, p.m))
 
 
 class TestSamplingKeys:
@@ -402,13 +422,13 @@ class TestSamplingKeys:
         sampled = backward_mask(w, fwd, None, P24, BinarizationCriterion.MULTINOMIAL_SAMPLING, seed=1)
         fits = np.minimum(2, (fwd.bits.reshape(2, 4, 8).sum(axis=1))).sum()
         assert sampled.bits.sum() == by_weight.bits.sum() == fits
-        assert np.isfinite(_sampling_keys(np.abs(fwd.apply(w)), 4, np.random.default_rng(1))).all()
+        assert np.isfinite(sampling_keys(np.abs(fwd.apply(w)), 4, np.random.default_rng(1))).all()
 
     def test_underflowing_shares_keep_finite_keys(self):
         # a 1e-320 entry's share of a 1e300 block underflows to zero; its key
         # is log(x) - log(total) instead of -inf, and every other key is unchanged
         stat = np.where(np.arange(16).reshape(4, 4) % 3 == 0, 1e300, 1e-320)
-        keys = _sampling_keys(stat, 4, np.random.default_rng(0))
+        keys = sampling_keys(stat, 4, np.random.default_rng(0))
         old = sampling_keys_unscaled(stat, 4, np.random.default_rng(0))
         assert np.isfinite(keys).all()
         under = np.isneginf(old)
@@ -442,12 +462,12 @@ class TestSamplingKeys:
         rng = np.random.default_rng(8)
         for scale in (1.0, 1e300, 1e-300):
             stat = np.abs(np.round(rng.normal(size=(8, 12)), 1)) * scale
-            got = _sampling_keys(stat, 4, np.random.default_rng(3))
+            got = sampling_keys(stat, 4, np.random.default_rng(3))
             assert np.array_equal(got, sampling_keys_unscaled(stat, 4, np.random.default_rng(3)))
         # one overflowing block leaves every other block's keys as they were
         stat = np.abs(rng.normal(size=(8, 12)))
         stat[:4, 5] = NEAR_MAX
-        got = _sampling_keys(stat, 4, np.random.default_rng(4))
+        got = sampling_keys(stat, 4, np.random.default_rng(4))
         with np.errstate(over="ignore"):
             old = sampling_keys_unscaled(stat, 4, np.random.default_rng(4))
         finite_block = np.ones(stat.shape, dtype=bool)

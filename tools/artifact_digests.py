@@ -22,7 +22,11 @@ must print the same lines on both. Each line is ``sha256  name``:
 * forward masks of the same matrices, and backward masks under all four
   criteria (fixed permutation, gradient and seed), at patterns on both
   sides of the top-N kernel choice: argmax rounds at 1:M and (M-1):M,
-  pairwise ranks otherwise.
+  pairwise ranks otherwise;
+* ``search_permutation`` of the same matrices, forward-masked, at 2:4, 2:8,
+  3:8, 1:16 and 4:4 (k = 50), and of a random 512 x 512 matrix at 2:8
+  (k = 100, whose 101 candidates the scorer takes in two batches): the
+  chosen permutation, the eligible count and the number of candidates.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -44,6 +48,7 @@ TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), (
 WALL_CLOCK_COLUMNS = ("search_seconds_total",)
 APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
 TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16")
+SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 
 
 def file_digest(path: str) -> str:
@@ -146,6 +151,23 @@ def top_n_digests(kit, seed=1):
                 yield mask_digest(bwd), f"backward-{criterion.value}-{name}"
 
 
+def search_digest(kit, matrix, text, k, seed):
+    pattern = kit.NmPattern.parse(text)
+    report = kit.search_permutation(kit.forward_mask(matrix, pattern).apply(matrix), pattern, k, seed=seed)
+    h = hashlib.sha256()
+    add_array(h, report.chosen)
+    h.update(repr((report.eligible_blocks, report.total_blocks, report.candidates_evaluated)).encode())
+    return h.hexdigest()
+
+
+def search_digests(kit, seed=2):
+    for kind, matrix in fixed_matrices():
+        for text in SEARCH_PATTERNS:
+            yield search_digest(kit, matrix, text, 50, seed), f"search-{kind}-{text.replace(':', 'of')}"
+    large = np.random.default_rng(seed).normal(size=(512, 512))
+    yield search_digest(kit, large, "2:8", 100, seed), "search-large-2of8"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -159,7 +181,7 @@ def main(argv) -> int:
         os.chdir(tmp)
         try:
             digests = itertools.chain(experiment_digests(kit), trend_digests(kit), approx_digests(kit),
-                                      top_n_digests(kit))
+                                      top_n_digests(kit), search_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
