@@ -57,8 +57,8 @@ def generate_synthetic(
     """
     if classes < 1 or dim < 1 or per_class < 1:
         raise ValueError("classes, dim and per_class must all be >= 1")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    if not 0 < spread < math.inf:
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -102,32 +102,25 @@ class BlockViolation:
     limit: int
 
 
-def _top_n_rounds(keys: np.ndarray, n: int) -> np.ndarray:
-    """The n largest keys of each row of (blocks, m) keys, as 0/1 uint8.
+def _top_one(keys: np.ndarray, n: int) -> np.ndarray:
+    """The top n of every block of block-major (m, ...) keys, for n in {0, 1, m - 1, m}.
 
-    Ties keep the lowest index, as in a stable descending sort: each of n
-    argmax rounds takes the first maximum and sets it to -inf. A row left
-    with only -inf keys gets its lowest free slots instead. For n > m / 2 the
-    m - n dropped slots are picked from the negated, reversed keys. ``keys``
-    may be overwritten.
+    At n = 1 one argmax keeps the first maximum; at n = m - 1 one argmin
+    over the reversed block drops the last minimum. Both are the places of
+    a stable descending sort, -inf included. The result, 0/1 uint8, has the
+    layout of ``keys``; the compare runs in C order, so on the transposed
+    rows of ``forward_mask`` its inner loop spans the blocks, not one block.
     """
-    blocks, m = keys.shape
-    if 2 * n > m:
-        return 1 - _top_n_rounds(-keys[:, ::-1], m - n)[:, ::-1]
-    work = np.ascontiguousarray(keys, dtype=np.float64)
-    has_neg_inf = work.min() == -np.inf
-    bits = np.zeros((blocks, m), dtype=np.uint8)
-    flat_work, flat_bits = work.reshape(-1), bits.reshape(-1)
-    starts = np.arange(0, blocks * m, m)
-    for _ in range(n):
-        taken = starts + work.argmax(axis=1)
-        flat_bits[taken] = 1
-        flat_work[taken] = -np.inf
-    if has_neg_inf:
-        free = bits == 0
-        short = n - m + free.sum(axis=1, keepdims=True)
-        bits |= free & (free.cumsum(axis=1) <= short)
-    return bits
+    m = keys.shape[0]
+    slot = np.arange(m).reshape(-1, *[1] * (keys.ndim - 1))
+    out = np.empty_like(keys, dtype=bool)
+    if n in (0, m):
+        out.fill(n == m)
+    elif n == 1:
+        np.equal(slot, keys.argmax(axis=0), out=out, order="C")
+    else:
+        np.not_equal(slot, m - 1 - keys[::-1].argmin(axis=0), out=out, order="C")
+    return out.view(np.uint8)
 
 
 def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
@@ -153,11 +146,11 @@ def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _uses_ranks(n: int, m: int) -> bool:
-    """Whether ``_top_n`` takes n of every m keys by ranks rather than rounds.
+    """Whether ``_top_n`` takes n of every m keys by pairwise ranks.
 
-    The min(n, m - n) argmax rounds of ``_top_n_rounds`` are fewer calls
-    than the m - 1 rank passes when that count is at most one (1:m and
-    (m-1):m, or n = 0 and n = m); the ranks win otherwise.
+    When min(n, m - n) is at most one (1:m and (m-1):m, or n = 0 and n = m)
+    one argmax or argmin of ``_top_one`` finds the slot to keep or drop,
+    against the m - 1 rank passes; the ranks serve every other n.
     """
     return min(n, m - n) > 1
 
@@ -165,19 +158,12 @@ def _uses_ranks(n: int, m: int) -> bool:
 def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     """The n largest keys of every block of block-major (m, ...) keys, as 0/1 uint8.
 
-    Axis 0 runs along each block of m keys, and the result is indexed like
-    ``keys``. Ties keep the lowest index, as in a stable descending sort.
-    ``_uses_ranks`` picks the kernel from (n, m) alone: ``_top_n_ranks``
-    reads ``keys`` in place and wants its last axis contiguous;
-    ``_top_n_rounds`` reads one block per row, with axis 0 moved last, and
-    may overwrite ``keys``.
+    Axis 0 runs along each block of m keys, and the result has the layout
+    of ``keys``. Ties keep the lowest index, as in a stable descending sort.
+    ``_uses_ranks`` picks the kernel from (n, m) alone; ``_top_n_ranks``
+    wants the last axis of ``keys`` contiguous, ``_top_one`` any layout.
     """
-    m = keys.shape[0]
-    if _uses_ranks(n, m):
-        return _top_n_ranks(keys, n)
-    rows = keys.transpose(*range(1, keys.ndim), 0)
-    bits = _top_n_rounds(rows.reshape(-1, m), n).reshape(rows.shape)
-    return bits.transpose(-1, *range(keys.ndim - 1))
+    return _top_n_ranks(keys, n) if _uses_ranks(n, keys.shape[0]) else _top_one(keys, n)
 
 
 def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
@@ -185,14 +171,16 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
 
     Within each block of M contiguous columns of a row, the N largest |w|
     entries survive; magnitude ties keep the lowest column index (the place
-    of a stable descending sort; see ``_top_n`` for its two kernels), so the
-    result is deterministic and has exactly N ones per block.
+    of a stable descending sort), so the result is deterministic and has
+    exactly N ones per block. ``_top_n`` takes them by pairwise ranks, or by
+    one argmax or argmin per block at 1:M and (M-1):M.
     """
     w = matrix(w)
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
     check_divisible(cols, m, "matrix cols")
-    # |w| as (m, blocks): a block-major copy for the ranks, a view of the rows for the rounds
+    # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
+    # of the rows for _top_one, whose argmax reads each block contiguously
     keys = np.abs(w.reshape(-1, m).T, order="C" if _uses_ranks(n, m) else "K")
     bits = _top_n(keys, n).T
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
@@ -528,11 +516,12 @@ def transposable_mask(
 
 def kept_magnitude(w: np.ndarray, mask: Mask) -> float:
     """Total |w| surviving the mask."""
-    return float(np.abs(mask.apply(w)).sum())
+    return float(np.abs(mask.apply(matrix(w))).sum())
 
 
 def tile_kept_magnitudes(w: np.ndarray, mask: Mask, pattern: NmPattern) -> np.ndarray:
     """Kept |w| per M x M tile, as a (rows/M, cols/M) grid."""
+    w = matrix(w)
     m = pattern.m
     rows, cols = w.shape
     check_divisible(rows, m, "matrix rows")

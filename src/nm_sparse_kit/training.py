@@ -74,12 +74,12 @@ class TrainConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if self.peak_lr <= 0:
-            raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

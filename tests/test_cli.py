@@ -194,6 +194,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [("spread = 0.3", "spread = nan"), ("peak_lr = 0.1", "peak_lr = inf")])
+    def test_non_finite_hyperparameter_exit_2(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "cfg.txt"
+        write_config(cfg, tmp_path / "run")
+        cfg.write_text(cfg.read_text().replace(*edit))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
     @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
     @pytest.mark.parametrize("keep", [6, -1])
     def test_truncated_idx_pair_exit_2(self, tmp_path, capsys, name, keep):

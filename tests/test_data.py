@@ -53,6 +53,8 @@ class TestGenerateSynthetic:
         {"classes": 0, "dim": 8, "per_class": 1, "spread": 0.1},
         {"classes": 1, "dim": 8, "per_class": 0, "spread": 0.1},
         {"classes": 1, "dim": 8, "per_class": 1, "spread": 0.0},
+        {"classes": 1, "dim": 8, "per_class": 1, "spread": float("nan")},
+        {"classes": 1, "dim": 8, "per_class": 1, "spread": float("inf")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from nm_sparse_kit.masks import (
     _sampling_keys,
     _top_n,
     _top_n_ranks,
-    _top_n_rounds,
+    _top_one,
     _transposable_count_dp,
     _uses_ranks,
 )
@@ -315,7 +315,7 @@ def sampling_keys_unscaled(stat, m, rng):
     return keys.reshape(rows, cols)
 
 
-# both sides of _uses_ranks: argmax rounds at 1:M, (M-1):M and M:M, pairwise ranks otherwise
+# both sides of _uses_ranks: one argmax or argmin at 1:M, (M-1):M and M:M, pairwise ranks otherwise
 KERNEL_PATTERNS = [
     NmPattern.parse(p)
     for p in ("1:4", "2:4", "3:4", "4:4", "1:8", "2:8", "3:8", "4:8", "6:8", "1:16", "8:16", "16:16")
@@ -371,17 +371,20 @@ class TestTopNKernel:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
     def test_keys_with_infinities_and_signed_zeros(self, m):
-        # -inf keys must never let a taken slot be picked twice; each kernel
-        # is checked at every n, not only where _uses_ranks sends it
+        # -inf keys must never let a taken slot be picked twice; the ranks
+        # are checked at every n, not only where _uses_ranks sends them, and
+        # _top_one over its whole domain, on a copy and on a transposed view
         rng = np.random.default_rng(100 + m)
-        values = [-np.inf, -1e308, -1.0, -0.0, 0.0, 1e-300, 1.0, np.inf]
+        values = [-np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1.0, np.inf]
         for n in range(0, m + 1):
             for _ in range(20):
                 keys = rng.choice(values, size=(9, m))
                 keys[rng.random((9, m)) < 0.3] = -np.inf
                 keys[0] = -np.inf
                 expected = top_n_sort_oracle(keys, n)
-                assert np.array_equal(_top_n_rounds(keys.copy(), n), expected)
+                if not _uses_ranks(n, m):
+                    assert np.array_equal(_top_one(keys.T.copy(), n).T, expected)
+                    assert np.array_equal(_top_one(keys.T, n).T, expected)
                 assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
                 assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
                 assert np.array_equal(
@@ -396,9 +399,14 @@ class TestTopNKernel:
         values = st.sampled_from([-np.inf, np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1e308])
         keys = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), m), elements=values))
         expected = top_n_sort_oracle(keys, n)
-        assert np.array_equal(_top_n_rounds(keys.copy(), n), expected)
         assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
         assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
+        # _top_one is drawn inside its domain on every example
+        one = data.draw(st.sampled_from([0, 1, m - 1, m]))
+        expected = top_n_sort_oracle(keys, one)
+        assert np.array_equal(_top_one(keys.T.copy(), one).T, expected)
+        assert np.array_equal(_top_one(keys.T, one).T, expected)
+        assert np.array_equal(column_block_top_n(keys.T.copy(), one, m), column_block_sort_oracle(keys.T, one, m))
 
     def test_ranks_need_a_wide_enough_counter(self):
         # at M = 258 a rank reaches 257, which does not fit in a uint8
@@ -973,6 +981,23 @@ class TestMaskConstruction:
         with pytest.raises(ValueError) as err:
             Mask(direction, np.zeros(shape, dtype=np.uint8), P24)
         assert str(err.value) == message
+
+
+class TestKeptMagnitudes:
+    def test_accepts_nested_lists(self):
+        w = np.random.default_rng(62).normal(size=(8, 8))
+        mask = transposable_mask(w, P24)
+        assert kept_magnitude(w.tolist(), mask) == kept_magnitude(w, mask)
+        assert np.array_equal(tile_kept_magnitudes(w.tolist(), mask, P24), tile_kept_magnitudes(w, mask, P24))
+
+    def test_rejects_nan_weights(self):
+        w = np.ones((4, 4))
+        mask = transposable_mask(w, P24)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            kept_magnitude(w, mask)
+        with pytest.raises(ValueError, match="non-finite"):
+            tile_kept_magnitudes(w, mask, P24)
 
 
 class TestMaskSerialization:

@@ -636,8 +636,12 @@ class TestTrainConfigValidation:
             {"epochs": 1, "delta_t": 0},
             {"epochs": 1, "k": 0},
             {"epochs": 1, "peak_lr": 0.0},
+            {"epochs": 1, "peak_lr": float("nan")},
+            {"epochs": 1, "peak_lr": float("inf")},
             {"epochs": 1, "momentum": 1.0},
             {"epochs": 1, "weight_decay": -0.1},
+            {"epochs": 1, "weight_decay": float("nan")},
+            {"epochs": 1, "weight_decay": float("inf")},
             {"epochs": 1, "seed": -1},
         ],
     )

@@ -21,8 +21,9 @@ must print the same lines on both. Each line is ``sha256  name``:
   kernel choice, including 8:16, whose counters do not fit the scan;
 * forward masks of the same matrices, and backward masks under all four
   criteria (fixed permutation, gradient and seed), at patterns on both
-  sides of the top-N kernel choice: argmax rounds at 1:M and (M-1):M,
-  pairwise ranks otherwise;
+  sides of the top-N kernel choice: one argmax or argmin at 1:M and
+  (M-1):M, pairwise ranks otherwise, then 1:2 (N = 1 = M-1) and 4:4
+  (N = M);
 * ``search_permutation`` of the same matrices, forward-masked, at 2:4, 2:8,
   3:8, 1:16 and 4:4 (k = 50), and of a random 512 x 512 matrix at 2:8
   (k = 100, whose 101 candidates the scorer takes in two batches): the
@@ -47,7 +48,7 @@ TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), (
                  ("transposable", "1:16"))
 WALL_CLOCK_COLUMNS = ("search_seconds_total",)
 APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
-TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16")
+TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16", "1:2", "4:4")
 SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 
 
