@@ -15,6 +15,7 @@ from dataclasses import replace
 from .experiment import (
     ABLATION_LABELS,
     ExperimentConfig,
+    csv_row,
     load_config,
     parse_config_value,
     run_ablation,
@@ -183,7 +184,7 @@ def _cmd_permute(args) -> int:
     else:
         report = search_permutation(w, pattern, args.k, seed=_resolve_seed(args.seed))
     # columns: eligible,total,candidates,elapsed_seconds,permutation
-    print(report.csv_row())
+    print(csv_row(report))
     return 0
 
 

@@ -60,7 +60,7 @@ _CONFIG_KEYS = {
 
 def _text(value) -> str:
     """A config value or CSV cell: floats by repr (exact), None empty, enums by value,
-    tuples comma-joined."""
+    tuples comma-joined, integer arrays space-joined."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -69,6 +69,8 @@ def _text(value) -> str:
         return value.value
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return " ".join(str(int(v)) for v in value)
     return str(value)
 
 

@@ -81,7 +81,8 @@ class Mask:
         return self.bits.shape
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """Elementwise product of the mask with a same-shaped matrix."""
+        """Elementwise product of the mask with a same-shaped finite matrix."""
+        w = matrix(w)
         if w.shape != self.bits.shape:
             raise ValueError(f"mask shape {self.bits.shape} does not match matrix {w.shape}")
         return self.bits * w
@@ -401,12 +402,13 @@ def _exact_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     most n ones each, and entry (i, j) is an edge of weight |w[i, j]|. Its LP
     is totally unimodular, so successive longest augmenting paths solve it
     exactly (min-cost flow, as in Hubara et al. 2021): the k-th augmentation
-    leaves a heaviest mask with k ones, and a tile drops out once no path
-    gains anything, after at most n * m rounds. Each round runs Bellman-Ford
-    over every live tile's m rows and m columns at once: rows reach
-    columns through unkept entries (+|w|), columns reach rows through kept
-    ones (-|w|), and a path starts at a row and ends at a column with spare
-    budget.
+    leaves a heaviest mask with k ones. Each round runs Bellman-Ford over
+    every tile's m rows and m columns at once and augments every tile whose
+    best path gains; a tile that gains nothing is left as it is, and so
+    gains nothing in any later round. The loop stops at the first round in
+    which no tile gains, after at most n * m rounds. Rows reach columns
+    through unkept entries (+|w|), columns reach rows through kept ones
+    (-|w|), and a path starts at a row and ends at a column with spare budget.
 
     Arithmetic and tolerance: each tile is scaled by its power of two 2**e
     (maximum in [2**(e-1), 2**e)) and rounded to integer multiples of
@@ -438,42 +440,38 @@ def _exact_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     backward = np.full((tiles, m, m), _UNREACHED) + code
     row_used = np.zeros((tiles, m), dtype=np.int64)
     col_used = np.zeros((tiles, m), dtype=np.int64)
-    live = np.arange(tiles)
     for _ in range(n * m):
-        fwd, bwd = (forward, backward) if live.size == tiles else (forward[live], backward[live])
-        dist_r = np.where(row_used[live] < n, 0, _UNREACHED)
+        dist_r = np.where(row_used < n, 0, _UNREACHED)
         dist_c = np.full(dist_r.shape, _UNREACHED)
         pred_r = np.full(dist_r.shape, -1)  # -1: the path starts at this row
         pred_c = np.zeros(dist_r.shape, dtype=np.int64)
         for _ in range(m):
-            dist_c, pred_c, _ = _relax(dist_c, pred_c, _fold_max(dist_r[:, None, :] + fwd), low)
-            dist_r, pred_r, changed = _relax(dist_r, pred_r, _fold_max(dist_c[:, None, :] + bwd), low)
+            dist_c, pred_c, _ = _relax(dist_c, pred_c, _fold_max(dist_r[:, None, :] + forward), low)
+            dist_r, pred_r, changed = _relax(dist_r, pred_r, _fold_max(dist_c[:, None, :] + backward), low)
             if not changed:
                 break
         else:
             raise RuntimeError("exact transposable search found a positive cycle")
-        end = _fold_max(np.where(col_used[live] < n, dist_c, _UNREACHED) + code)
-        gains = end > low
-        t = np.flatnonzero(gains)
+        end = _fold_max(np.where(col_used < n, dist_c, _UNREACHED) + code)
+        t = np.flatnonzero(end > low)
         if t.size == 0:
             break
-        g, c = live[t], low - (end[t] & low)
-        col_used[g, c] += 1
+        c = low - (end[t] & low)
+        col_used[t, c] += 1
         for _ in range(m):
             r = pred_c[t, c]
-            forward[g, c, r] = _UNREACHED + code[r]
-            backward[g, r, c] = code[c] - weight[g, r, c]
+            forward[t, c, r] = _UNREACHED + code[r]
+            backward[t, r, c] = code[c] - weight[t, r, c]
             c = pred_r[t, r]
             starts = c < 0
-            row_used[g[starts], r[starts]] += 1
-            g, t, c, r = g[~starts], t[~starts], c[~starts], r[~starts]
-            forward[g, c, r] = weight[g, r, c] + code[r]
-            backward[g, r, c] = _UNREACHED + code[c]
+            row_used[t[starts], r[starts]] += 1
+            t, c, r = t[~starts], c[~starts], r[~starts]
+            forward[t, c, r] = weight[t, r, c] + code[r]
+            backward[t, r, c] = _UNREACHED + code[c]
             if t.size == 0:
                 break
         else:
             raise RuntimeError("exact transposable search found an augmenting path that does not end")
-        live = live[gains]
     # an unkept entry's backward key is _UNREACHED plus its code
     return (backward > _UNREACHED + low).astype(np.uint8)
 
@@ -516,55 +514,45 @@ def transposable_mask(
 
 def kept_magnitude(w: np.ndarray, mask: Mask) -> float:
     """Total |w| surviving the mask."""
-    return float(np.abs(mask.apply(matrix(w))).sum())
+    return float(np.abs(mask.apply(w)).sum())
 
 
 def tile_kept_magnitudes(w: np.ndarray, mask: Mask, pattern: NmPattern) -> np.ndarray:
     """Kept |w| per M x M tile, as a (rows/M, cols/M) grid."""
-    w = matrix(w)
+    kept = np.abs(mask.apply(w))
     m = pattern.m
-    rows, cols = w.shape
+    rows, cols = kept.shape
     check_divisible(rows, m, "matrix rows")
     check_divisible(cols, m, "matrix cols")
-    kept = np.abs(mask.apply(w))
     return kept.reshape(rows // m, m, cols // m, m).sum(axis=(1, 3))
 
 
 def _transposable_count_dp(n: int, m: int) -> int:
     """Count m x m masks with exactly n ones per row and at most n per column.
 
-    Rows are placed one at a time; the state is how many columns still have
-    each residual capacity 0..n, so the table stays tiny even at m = 16.
+    The m * n ones fill all m * n column slots, so every column holds exactly
+    n: these are the n-regular 0/1 matrices. The state is how many columns
+    still have each residual capacity 0..n. Each row places its n ones one
+    capacity level at a time, lowest level first, on a table keyed by
+    (profile, ones left) in which equal keys merge; a column picked at level
+    L drops to L - 1, which is already done, so no row picks a column twice.
     """
-    start = tuple([0] * n + [m])
-    table = {start: 1}
+    n = min(n, m - n)  # complementing maps the n-regular masks onto the (m - n)-regular ones
+    table = {tuple([0] * n + [m]): 1}
     for _ in range(m):
-        nxt: dict[tuple, int] = {}
-        for state, ways in table.items():
-            # distribute this row's n ones over capacity levels 1..n; demotions
-            # apply only after the whole row is placed, so a row can never put
-            # two ones into the same column
-            picks = [0] * (n + 1)
-
-            def place(level: int, remaining: int, mult: int):
-                if remaining == 0:
-                    new = list(state)
-                    for j in range(1, n + 1):
-                        new[j] -= picks[j]
-                        new[j - 1] += picks[j]
-                    key = tuple(new)
-                    nxt[key] = nxt.get(key, 0) + ways * mult
-                    return
-                if level == 0:
-                    return
-                avail = state[level]
-                for k in range(0, min(avail, remaining) + 1):
-                    picks[level] = k
-                    place(level - 1, remaining - k, mult * comb(avail, k))
-                picks[level] = 0
-
-            place(n, n, 1)
-        table = nxt
+        row = {(profile, n): ways for profile, ways in table.items()}
+        for level in range(1, n + 1):
+            nxt: dict[tuple, int] = {}
+            for (profile, left), ways in row.items():
+                free = profile[level]
+                for k in range(min(free, left) + 1):
+                    new = list(profile)
+                    new[level] -= k
+                    new[level - 1] += k
+                    key = (tuple(new), left - k)
+                    nxt[key] = nxt.get(key, 0) + ways * comb(free, k)
+            row = nxt
+        table = {profile: ways for (profile, left), ways in row.items() if left == 0}
     return sum(table.values())
 
 
@@ -574,7 +562,9 @@ def mask_diversity(pattern: NmPattern, family: MaskFamily, tile_rows: int | None
     Vanilla counts exactly-N row blocks independently: C(M, N) ** tile_rows.
     Transposable counts M x M tiles with exactly N ones per row whose column
     sums stay within the N budget, via a column-capacity-profile dynamic
-    program (m <= 16).
+    program (m <= 16). Such a tile has exactly N ones in every column too, so
+    complementing it is a bijection onto the (M - N):M tiles, and the two
+    patterns have the same count.
     """
     n, m = pattern.n, pattern.m
     if family is MaskFamily.VANILLA:

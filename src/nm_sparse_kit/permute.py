@@ -44,20 +44,13 @@ def check_permutation(perm, rows: int) -> np.ndarray:
 
 @dataclass
 class SearchReport:
-    """Outcome of one permutation search."""
+    """Outcome of one permutation search, in the field order of its CSV row."""
 
-    chosen: np.ndarray
     eligible_blocks: int
     total_blocks: int
     candidates_evaluated: int
     elapsed: float
-
-    def csv_row(self) -> str:
-        perm = " ".join(str(int(i)) for i in self.chosen)
-        return (
-            f"{self.eligible_blocks},{self.total_blocks},"
-            f"{self.candidates_evaluated},{self.elapsed!r},{perm}"
-        )
+    chosen: np.ndarray
 
 
 def count_eligible_blocks(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int, int]:
@@ -180,7 +173,7 @@ def search_permutation(
         draw = lambda count: rng.permuted(np.tile(np.arange(rows, dtype=np.int64), (count, 1)), axis=1)
     best, best_count = _best_permutation(masked_w, current, draw, total, n, m)
     elapsed = time.perf_counter() - start
-    return SearchReport(best, best_count, (rows // m) * cols, evaluated, elapsed)
+    return SearchReport(best_count, (rows // m) * cols, evaluated, elapsed, best)
 
 
 def brute_force_best_permutation(masked_w: np.ndarray, pattern: NmPattern) -> SearchReport:

@@ -174,7 +174,8 @@ class SparseLinearLayer:
         if self.fwd_mask is None:
             return self.w
         if self._masked is None:
-            self._masked = _read_only(self.fwd_mask.apply(self.w))
+            # the weights were checked finite on entry and after every update
+            self._masked = _read_only(self.fwd_mask.bits * self.w)
         return self._masked
 
     def _permuted_masked(self) -> np.ndarray:

@@ -899,12 +899,36 @@ class TestMaskDiversity:
             for n in range(1, m + 1):
                 assert _transposable_count_dp(n, m) == transposable_count_enumerated(n, m)
 
+    def test_complement_has_the_same_count(self):
+        # an n-regular tile's complement is (m - n)-regular
+        for m in (2, 3, 4):
+            for n in range(1, m + 1):
+                assert _transposable_count_dp(n, m) == transposable_count_enumerated(m - n, m)
+
     def test_known_closed_forms(self):
         import math
 
         # exactly one 1 per row with distinct columns: m! injections
         assert mask_diversity(NmPattern(1, 8), MaskFamily.TRANSPOSABLE) == math.factorial(8)
         assert mask_diversity(NmPattern(1, 16), MaskFamily.TRANSPOSABLE) == math.factorial(16)
+
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            # OEIS A001499: m x m 0/1 matrices with two ones in every row and column, m = 2..8
+            (2, [1, 6, 90, 2040, 67950, 3110940, 187530840]),
+            # OEIS A001501: three ones in every row and column, m = 3..8
+            (3, [1, 24, 2040, 297200, 68938800, 24046189440]),
+        ],
+    )
+    def test_regular_matrix_counts_match_oeis(self, n, counts):
+        for m, count in enumerate(counts, start=n):
+            assert mask_diversity(NmPattern(n, m), MaskFamily.TRANSPOSABLE) == count
+
+    def test_12_16_equals_4_16(self):
+        count = mask_diversity(NmPattern(4, 16), MaskFamily.TRANSPOSABLE)
+        assert count == 6892692735539278753058456514221737762215000
+        assert mask_diversity(NmPattern(12, 16), MaskFamily.TRANSPOSABLE) == count
 
     def test_range_guards(self):
         with pytest.raises(ValueError, match="tile_rows"):
@@ -981,6 +1005,20 @@ class TestMaskConstruction:
         with pytest.raises(ValueError) as err:
             Mask(direction, np.zeros(shape, dtype=np.uint8), P24)
         assert str(err.value) == message
+
+
+class TestMaskApply:
+    def test_accepts_nested_lists(self):
+        w = np.random.default_rng(63).normal(size=(8, 8))
+        mask = forward_mask(w, P24)
+        assert np.array_equal(mask.apply(w.tolist()), mask.apply(w))
+
+    def test_rejects_nan_weights(self):
+        w = np.ones((4, 4))
+        mask = forward_mask(w, P24)
+        w[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            mask.apply(w)
 
 
 class TestKeptMagnitudes:

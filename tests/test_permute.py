@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nm_sparse_kit.permute as permute
+from nm_sparse_kit.experiment import csv_row
 from nm_sparse_kit.masks import forward_mask
 from nm_sparse_kit.permute import (
     brute_force_best_permutation,
@@ -290,6 +291,6 @@ class TestBruteForce:
 
     def test_csv_row_shape(self):
         report = brute_force_best_permutation(np.zeros((4, 1)), P24)
-        fields = report.csv_row().split(",")
+        fields = csv_row(report).split(",")
         assert len(fields) == 5
         assert fields[0] == "1" and fields[1] == "1"

@@ -27,7 +27,10 @@ must print the same lines on both. Each line is ``sha256  name``:
 * ``search_permutation`` of the same matrices, forward-masked, at 2:4, 2:8,
   3:8, 1:16 and 4:4 (k = 50), and of a random 512 x 512 matrix at 2:8
   (k = 100, whose 101 candidates the scorer takes in two batches): the
-  chosen permutation, the eligible count and the number of candidates.
+  chosen permutation, the eligible count and the number of candidates;
+* ``EXACT`` transposable masks of the same matrices at the ``TWO_APPROX``
+  patterns;
+* the transposable ``mask_diversity`` count of every N:M with M <= 12.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -50,6 +53,7 @@ WALL_CLOCK_COLUMNS = ("search_seconds_total",)
 APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
 TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16", "1:2", "4:4")
 SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
+DIVERSITY_MAX_M = 12
 
 
 def file_digest(path: str) -> str:
@@ -131,11 +135,11 @@ def mask_digest(mask) -> str:
     return h.hexdigest()
 
 
-def approx_digests(kit):
+def transposable_digests(kit, method):
     for kind, matrix in fixed_matrices():
         for text in APPROX_PATTERNS:
-            mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), kit.TransposableMethod.TWO_APPROX)
-            yield mask_digest(mask), f"approx-{kind}-{text.replace(':', 'of')}"
+            mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), method)
+            yield mask_digest(mask), f"{method.value}-{kind}-{text.replace(':', 'of')}"
 
 
 def top_n_digests(kit, seed=1):
@@ -169,6 +173,13 @@ def search_digests(kit, seed=2):
     yield search_digest(kit, large, "2:8", 100, seed), "search-large-2of8"
 
 
+def diversity_digests(kit):
+    for m in range(2, DIVERSITY_MAX_M + 1):
+        for n in range(1, m + 1):
+            count = kit.mask_diversity(kit.NmPattern(n, m), kit.MaskFamily.TRANSPOSABLE)
+            yield hashlib.sha256(str(count).encode()).hexdigest(), f"diversity-transposable-{n}of{m}"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -181,8 +192,11 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            digests = itertools.chain(experiment_digests(kit), trend_digests(kit), approx_digests(kit),
-                                      top_n_digests(kit), search_digests(kit))
+            methods = kit.TransposableMethod
+            digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
+                                      transposable_digests(kit, methods.TWO_APPROX), top_n_digests(kit),
+                                      search_digests(kit), transposable_digests(kit, methods.EXACT),
+                                      diversity_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
