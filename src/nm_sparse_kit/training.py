@@ -174,8 +174,7 @@ class SparseLinearLayer:
         if self.fwd_mask is None:
             return self.w
         if self._masked is None:
-            # the weights were checked finite on entry and after every update
-            self._masked = _read_only(self.fwd_mask.bits * self.w)
+            self._masked = _read_only(self.fwd_mask.apply(self.w))
         return self._masked
 
     def _permuted_masked(self) -> np.ndarray:

@@ -899,12 +899,6 @@ class TestMaskDiversity:
             for n in range(1, m + 1):
                 assert _transposable_count_dp(n, m) == transposable_count_enumerated(n, m)
 
-    def test_complement_has_the_same_count(self):
-        # an n-regular tile's complement is (m - n)-regular
-        for m in (2, 3, 4):
-            for n in range(1, m + 1):
-                assert _transposable_count_dp(n, m) == transposable_count_enumerated(m - n, m)
-
     def test_known_closed_forms(self):
         import math
 
@@ -1007,26 +1001,13 @@ class TestMaskConstruction:
         assert str(err.value) == message
 
 
-class TestMaskApply:
-    def test_accepts_nested_lists(self):
-        w = np.random.default_rng(63).normal(size=(8, 8))
-        mask = forward_mask(w, P24)
-        assert np.array_equal(mask.apply(w.tolist()), mask.apply(w))
-
-    def test_rejects_nan_weights(self):
-        w = np.ones((4, 4))
-        mask = forward_mask(w, P24)
-        w[2, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            mask.apply(w)
-
-
 class TestKeptMagnitudes:
     def test_accepts_nested_lists(self):
         w = np.random.default_rng(62).normal(size=(8, 8))
         mask = transposable_mask(w, P24)
         assert kept_magnitude(w.tolist(), mask) == kept_magnitude(w, mask)
         assert np.array_equal(tile_kept_magnitudes(w.tolist(), mask, P24), tile_kept_magnitudes(w, mask, P24))
+        assert np.array_equal(mask.apply(w.tolist()), mask.apply(w))
 
     def test_rejects_nan_weights(self):
         w = np.ones((4, 4))
@@ -1036,6 +1017,8 @@ class TestKeptMagnitudes:
             kept_magnitude(w, mask)
         with pytest.raises(ValueError, match="non-finite"):
             tile_kept_magnitudes(w, mask, P24)
+        with pytest.raises(ValueError, match="non-finite"):
+            mask.apply(w)
 
 
 class TestMaskSerialization:

@@ -436,6 +436,18 @@ class TestRefreshAgainstOracle:
         assert layer.masked_weights() is not before
         assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(update))
 
+    def test_masked_weights_check_assigned_weights(self):
+        # the setter stores what it is given; the mask product checks it
+        layer = SparseLinearLayer(np.random.default_rng(28).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        layer.w = np.ones((1, 8))
+        with pytest.raises(ValueError, match="does not match"):
+            layer.masked_weights()
+        bad = np.ones((8, 8))
+        bad[3, 4] = np.nan
+        layer.w = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            layer.masked_weights()
+
 
 def train_oracle(layers, data, config, criterion):
     """train() as two phases: every layer's products first, then every update.
