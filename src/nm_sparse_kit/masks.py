@@ -372,19 +372,6 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
 _UNREACHED = np.int64(-(1 << 61))
 
 
-def _fold_max(keys: np.ndarray) -> np.ndarray:
-    """Maximum over the last axis by halving folds.
-
-    numpy's axis reductions are slow when that axis is as short as a tile
-    side; log2(m) elementwise maxima are not. Odd halves overlap by one
-    entry, which a maximum ignores.
-    """
-    while keys.shape[-1] > 1:
-        half = (keys.shape[-1] + 1) // 2
-        keys = np.maximum(keys[..., :half], keys[..., -half:])
-    return keys[..., 0]
-
-
 def _relax(dist: np.ndarray, pred: np.ndarray, best: np.ndarray, low: np.int64):
     """Adopt each node's best coded key where its value strictly beats ``dist``.
 
@@ -424,56 +411,61 @@ def _exact_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     and the predecessor. An augmenting path ends at the lowest-index column of
     largest gain. Bellman-Ford settles within m passes and the walk back
     along predecessors visits at most m rows; either bound exceeded raises.
+
+    Layout: whatever the input's strides, every int64 array is built
+    C-contiguous with the tile axis last, so each maximum (a relaxation or
+    the path-end choice) is one broadcast add and one ``max(axis=0)`` over
+    the leading axis, elementwise across rows of ``tiles`` entries. The
+    result is transposed back to (tiles, m, m).
     """
-    tiles = abs_tiles.shape[0]
     code_bits = (m - 1).bit_length()
     low = np.int64((1 << code_bits) - 1)
     # leaves room for m forward edges and the code bits below 2**60
     unit_bits = 60 - (2 * m).bit_length() - code_bits
     exponent = np.frexp(abs_tiles.max(axis=(1, 2)))[1]
-    grid = np.ldexp(abs_tiles, (unit_bits - exponent)[:, None, None])
-    weight = np.rint(grid).astype(np.int64) << code_bits
+    grid = np.ldexp(abs_tiles.transpose(1, 2, 0), unit_bits - exponent, order="C")
+    weight = np.rint(grid).astype(np.int64) << code_bits  # weight[r, c, t]
     code = low - np.arange(m, dtype=np.int64)
-    # forward[t, c, r]: row r -> column c while (r, c) is unkept;
-    # backward[t, r, c]: column c -> row r while (r, c) is kept
-    forward = np.ascontiguousarray(weight.swapaxes(1, 2)) + code
-    backward = np.full((tiles, m, m), _UNREACHED) + code
-    row_used = np.zeros((tiles, m), dtype=np.int64)
-    col_used = np.zeros((tiles, m), dtype=np.int64)
+    # forward[r, c, t]: row r -> column c while (r, c) is unkept;
+    # backward[c, r, t]: column c -> row r while (r, c) is kept
+    forward = weight + code[:, None, None]
+    backward = np.full(weight.shape, _UNREACHED) + code[:, None, None]
+    row_used = np.zeros(weight.shape[1:], dtype=np.int64)  # [r, t]
+    col_used = np.zeros(weight.shape[1:], dtype=np.int64)  # [c, t]
     for _ in range(n * m):
         dist_r = np.where(row_used < n, 0, _UNREACHED)
         dist_c = np.full(dist_r.shape, _UNREACHED)
         pred_r = np.full(dist_r.shape, -1)  # -1: the path starts at this row
         pred_c = np.zeros(dist_r.shape, dtype=np.int64)
         for _ in range(m):
-            dist_c, pred_c, _ = _relax(dist_c, pred_c, _fold_max(dist_r[:, None, :] + forward), low)
-            dist_r, pred_r, changed = _relax(dist_r, pred_r, _fold_max(dist_c[:, None, :] + backward), low)
+            dist_c, pred_c, _ = _relax(dist_c, pred_c, (dist_r[:, None] + forward).max(axis=0), low)
+            dist_r, pred_r, changed = _relax(dist_r, pred_r, (dist_c[:, None] + backward).max(axis=0), low)
             if not changed:
                 break
         else:
             raise RuntimeError("exact transposable search found a positive cycle")
-        end = _fold_max(np.where(col_used < n, dist_c, _UNREACHED) + code)
+        end = (np.where(col_used < n, dist_c, _UNREACHED) + code[:, None]).max(axis=0)
         t = np.flatnonzero(end > low)
         if t.size == 0:
             break
         c = low - (end[t] & low)
-        col_used[t, c] += 1
+        col_used[c, t] += 1
         for _ in range(m):
-            r = pred_c[t, c]
-            forward[t, c, r] = _UNREACHED + code[r]
-            backward[t, r, c] = code[c] - weight[t, r, c]
-            c = pred_r[t, r]
+            r = pred_c[c, t]
+            forward[r, c, t] = _UNREACHED + code[r]
+            backward[c, r, t] = code[c] - weight[r, c, t]
+            c = pred_r[r, t]
             starts = c < 0
-            row_used[t[starts], r[starts]] += 1
+            row_used[r[starts], t[starts]] += 1
             t, c, r = t[~starts], c[~starts], r[~starts]
-            forward[t, c, r] = weight[t, r, c] + code[r]
-            backward[t, r, c] = _UNREACHED + code[c]
+            forward[r, c, t] = weight[r, c, t] + code[r]
+            backward[c, r, t] = _UNREACHED + code[c]
             if t.size == 0:
                 break
         else:
             raise RuntimeError("exact transposable search found an augmenting path that does not end")
     # an unkept entry's backward key is _UNREACHED plus its code
-    return (backward > _UNREACHED + low).astype(np.uint8)
+    return (backward > _UNREACHED + low).astype(np.uint8).transpose(2, 1, 0)
 
 
 def transposable_mask(
@@ -484,7 +476,8 @@ def transposable_mask(
     """One mask satisfying row and column N:M blocks simultaneously.
 
     Each M x M tile is solved independently for maximum kept |w|, and both
-    methods view the matrix as a stack of tiles solved all at once. ``EXACT``
+    methods solve a C-ordered (tiles, M, M) stack of |w| tiles all at once,
+    built in one pass by ``np.abs`` over the matrix's tile view. ``EXACT``
     finds the optimum by successive longest augmenting paths (see
     ``_exact_tiles``), at most N * M rounds, for any M. ``TWO_APPROX``
     greedily inserts entries by descending magnitude (ties to the lowest
@@ -501,7 +494,7 @@ def transposable_mask(
     check_divisible(rows, m, "matrix rows")
     check_divisible(cols, m, "matrix cols")
     grid = (rows // m, cols // m)
-    tiles = np.abs(w).reshape(grid[0], m, grid[1], m).swapaxes(1, 2).reshape(-1, m, m)
+    tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)
     if method is TransposableMethod.EXACT:
         tile_bits = _exact_tiles(tiles, n, m)
     elif 2 * n >= m and 2 * m * _counter_width(n) <= 64:

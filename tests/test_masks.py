@@ -28,6 +28,7 @@ from nm_sparse_kit.masks import (
 )
 from nm_sparse_kit.masks import (
     _counter_width,
+    _exact_tiles,
     _greedy_scan,
     _greedy_tiles,
     _sampling_keys,
@@ -730,6 +731,23 @@ class TestTransposableMask:
             whole = tiles_of(transposable_mask(w, pattern, TransposableMethod.EXACT).bits, m)
             for tile, bits in zip(tiles_of(w, m), whole):
                 assert np.array_equal(transposable_mask(tile, pattern, TransposableMethod.EXACT).bits, bits)
+
+    @pytest.mark.parametrize("pattern", [P24, NmPattern(2, 8), NmPattern(1, 16)], ids=str)
+    def test_exact_tiles_do_not_depend_on_input_strides(self, pattern):
+        # the solver builds its own tiles-last arrays, so a C-ordered stack, its
+        # Fortran-ordered copy and a strided view of a larger stack give the same bits
+        n, m = pattern.n, pattern.m
+        rng = np.random.default_rng(pattern.m * 10 + pattern.n + 7)
+        view = np.abs(np.round(rng.normal(size=(14, m + 1, m + 3)), 1))[::2, 1:, 2 : m + 2]
+        stacks = (np.ascontiguousarray(view), np.asfortranarray(view), view)
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        assert stacks[1].flags.f_contiguous and not stacks[1].flags.c_contiguous
+        bits = _exact_tiles(stacks[0], n, m)
+        assert bits.shape == view.shape
+        kept = (bits * view).sum(axis=(1, 2))
+        np.testing.assert_allclose(kept, [lp_tile_optimum(tile, n) for tile in view], rtol=1e-9, atol=0)
+        for stack in stacks[1:]:
+            assert np.array_equal(_exact_tiles(stack, n, m), bits)
 
     @pytest.mark.parametrize("pattern", LP_PATTERNS, ids=str)
     def test_exact_matches_lp_optimum_per_tile(self, pattern):

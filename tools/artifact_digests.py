@@ -30,7 +30,10 @@ must print the same lines on both. Each line is ``sha256  name``:
   chosen permutation, the eligible count and the number of candidates;
 * ``EXACT`` transposable masks of the same matrices at the ``TWO_APPROX``
   patterns;
-* the transposable ``mask_diversity`` count of every N:M with M <= 12.
+* the transposable ``mask_diversity`` count of every N:M with M <= 12;
+* ``EXACT`` and ``TWO_APPROX`` transposable masks of random 32 x 96 and
+  96 x 32 matrices at 2:4, 2:8 and 1:16, whose tile grids are not square,
+  and one ``EXACT`` mask of a random 128 x 128 matrix at 2:4 (1 024 tiles).
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -54,6 +57,8 @@ APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8"
 TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16", "1:2", "4:4")
 SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 DIVERSITY_MAX_M = 12
+GRID_SHAPES = ((32, 96), (96, 32))
+GRID_PATTERNS = ("2:4", "2:8", "1:16")
 
 
 def file_digest(path: str) -> str:
@@ -180,6 +185,19 @@ def diversity_digests(kit):
             yield hashlib.sha256(str(count).encode()).hexdigest(), f"diversity-transposable-{n}of{m}"
 
 
+def grid_digests(kit, seed=3):
+    rng = np.random.default_rng(seed)
+    methods = kit.TransposableMethod
+    for rows, cols in GRID_SHAPES:
+        w = rng.normal(size=(rows, cols))
+        for method in (methods.EXACT, methods.TWO_APPROX):
+            for text in GRID_PATTERNS:
+                mask = kit.transposable_mask(w, kit.NmPattern.parse(text), method)
+                yield mask_digest(mask), f"{method.value}-{rows}x{cols}-{text.replace(':', 'of')}"
+    mask = kit.transposable_mask(rng.normal(size=(128, 128)), kit.NmPattern(2, 4), methods.EXACT)
+    yield mask_digest(mask), f"{methods.EXACT.value}-128x128-2of4"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -196,7 +214,7 @@ def main(argv) -> int:
             digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
                                       transposable_digests(kit, methods.TWO_APPROX), top_n_digests(kit),
                                       search_digests(kit), transposable_digests(kit, methods.EXACT),
-                                      diversity_digests(kit))
+                                      diversity_digests(kit), grid_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
