@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -293,8 +294,33 @@ def backward_mask(
 
 
 def _counter_width(n: int) -> int:
-    """Bits of one row or column counter in ``_greedy_scan``: ceil(log2 n) + 1."""
+    """Bits of one row or column counter in ``_greedy_scan``: ceil(log2 n) + 1.
+
+    A counter starts at 2**(width-1) - n, so its top bit sets exactly when
+    its row or column holds n ones.
+    """
     return (n - 1).bit_length() + 1
+
+
+@cache
+def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64, bool]:
+    """``_greedy_scan``'s read-only word tables at n:m, built once per pattern.
+
+    For each flat tile index r * m + c: ``guard``, the top bits of row r's
+    and column c's counters, and ``one``, a one in each of those counters.
+    Then ``start``, the word with every counter at 2**(width-1) - n, and
+    whether the fields start at bit 7 - width, which puts the lowest top bit
+    at 2**6. Only where that offset does not fit (M = 8 with N >= 5, whose
+    sixteen 4-bit counters fill the word) do they start at bit 0.
+    """
+    width = _counter_width(n)
+    offset = 7 - width if 7 - width + 2 * m * width <= 64 else 0
+    field = np.uint64(1) << np.arange(offset, offset + 2 * m * width, width, dtype=np.uint64)
+    top = field << np.uint64(width - 1)
+    r, c = np.divmod(np.arange(m * m), m)
+    guard, one = top[r] | top[m + c], field[r] + field[m + c]
+    guard.flags.writeable = one.flags.writeable = False
+    return guard, one, np.uint64((1 << (width - 1)) - n) * field.sum(), offset > 0
 
 
 def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -310,10 +336,14 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     tile still running, hence at most n * m rounds, each about a dozen
     fancy-indexed calls. Few rounds make this the faster kernel when 2n < m;
     it also serves patterns whose counters do not fit ``_greedy_scan``'s word.
+
+    Consumes its input: entries of ``abs_tiles`` are overwritten wherever
+    its (tiles, m * m) reshape is a view, as for the C-ordered stack that
+    ``transposable_mask`` passes. Pass a copy to keep the input.
     """
     tiles = abs_tiles.shape[0]
-    work = abs_tiles.copy()
-    flat = work.reshape(tiles, m * m)
+    flat = abs_tiles.reshape(tiles, m * m)
+    work = flat.reshape(tiles, m, m)
     bits = np.zeros((tiles, m, m), dtype=np.uint8)
     row_used = np.zeros((tiles, m), dtype=np.int64)
     col_used = np.zeros((tiles, m), dtype=np.int64)
@@ -343,26 +373,35 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     keeps every tile's s-th entry whose row and column both hold fewer than
     n ones, m * m vectorized steps in all. A tile's m row and m column
     counters share one uint64, ``_counter_width(n)`` bits each (rows in the
-    low fields); each starts at 2**(width-1) - n, so its top bit sets exactly
-    when the budget fills, and a step is an AND with the entry's two top
-    bits, a compare with zero and an add where kept. Needs
+    low fields), and each top bit sets exactly when its budget fills.
+
+    A step ANDs the counters with the entry's two top bits, shifts the
+    entry's increment right by that result and adds it. The fields start at
+    bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
+    or more to 0: a blocked entry adds nothing, and its increment, read back
+    after the loop, is zero. Where that offset does not fit (M = 8 with
+    N >= 5), a step compares the AND with zero and adds where kept. Needs
     2 * m * width <= 64 bits; it beats the rounds when 2n >= m.
     """
     tiles = abs_tiles.shape[0]
-    width = _counter_width(n)
-    field = np.uint64(1) << np.arange(0, 2 * m * width, width, dtype=np.uint64)
-    top = field << np.uint64(width - 1)
-    r, c = np.divmod(np.arange(m * m), m)
-    guard, one = top[r] | top[m + c], field[r] + field[m + c]
-    order = np.argsort(-abs_tiles.reshape(tiles, m * m), axis=1, kind="stable").T
-    guards, ones = guard[order], one[order]  # (m * m, tiles), step-major
-    counters = np.full(tiles, np.uint64((1 << (width - 1)) - n) * field.sum())
+    guard, one, start, shifted = _scan_tables(n, m)
+    # step-major and C-contiguous, so that every step reads contiguous rows
+    order = np.ascontiguousarray(np.argsort(-abs_tiles.reshape(tiles, m * m), axis=1, kind="stable").T)
+    guards, ones = guard[order], one[order]  # (m * m, tiles)
+    counters = np.full(tiles, start)
     hit = np.empty(tiles, dtype=np.uint64)
-    kept = np.empty((m * m, tiles), dtype=bool)
-    for s in range(m * m):
-        np.bitwise_and(counters, guards[s], out=hit)
-        np.equal(hit, 0, out=kept[s])
-        np.add(counters, ones[s], out=counters, where=kept[s])
+    if shifted:
+        for g, o in zip(guards, ones):
+            np.bitwise_and(counters, g, out=hit)
+            np.right_shift(o, hit, out=o)
+            counters += o
+        kept = ones != 0
+    else:
+        kept = np.empty((m * m, tiles), dtype=bool)
+        for s in range(m * m):
+            np.bitwise_and(counters, guards[s], out=hit)
+            np.equal(hit, 0, out=kept[s])
+            np.add(counters, ones[s], out=counters, where=kept[s])
     bits = np.zeros((m * m, tiles), dtype=np.uint8)
     bits[order, np.arange(tiles)] = kept
     return bits.T.reshape(tiles, m, m)
@@ -484,8 +523,9 @@ def transposable_mask(
     row-major index in the tile) and is guaranteed at least half the exact
     tile optimum. Two kernels give the same greedy bit for bit, chosen from
     (N, M) alone: when 2N >= M and the tile's 2M counters fit one uint64,
-    one scan of M * M vectorized steps over the sorted entries
-    (``_greedy_scan``); otherwise at most N * M argmax rounds
+    one scan of M * M vectorized steps over the sorted entries, each an AND,
+    a shift and an add of counter words (``_greedy_scan``; a masked add at
+    M = 8 with N >= 5); otherwise at most N * M argmax rounds
     (``_greedy_tiles``), which are fewer when N is small against M.
     """
     w = matrix(w)

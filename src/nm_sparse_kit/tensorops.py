@@ -15,10 +15,14 @@ import numpy as np
 def matrix(values) -> np.ndarray:
     """Validate ``values`` as a finite 2-D real matrix and return it as float64.
 
-    Rejects anything that is not two-dimensional, has an empty axis, or
-    contains NaN/Inf. Returns a C-contiguous (row-major) array.
+    Rejects complex, text (str or bytes) and datetime or timedelta input,
+    anything that is not two-dimensional, has an empty axis, or contains
+    NaN/Inf. Returns a C-contiguous (row-major) array.
     """
-    a = np.asarray(values, dtype=np.float64)
+    a = np.asarray(values)
+    if a.dtype.kind in "cSUmM":
+        raise ValueError(f"expected a real matrix, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] < 1 or a.shape[1] < 1:

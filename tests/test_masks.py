@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment, linprog
 
+from nm_sparse_kit import masks
 from nm_sparse_kit.masks import (
     BinarizationCriterion,
     Mask,
@@ -27,11 +28,11 @@ from nm_sparse_kit.masks import (
     validate_mask,
 )
 from nm_sparse_kit.masks import (
-    _counter_width,
     _exact_tiles,
     _greedy_scan,
     _greedy_tiles,
     _sampling_keys,
+    _scan_tables,
     _top_n,
     _top_n_ranks,
     _top_one,
@@ -616,13 +617,18 @@ GREEDY_PATTERNS = [
     NmPattern.parse(p)
     for p in ("2:2", "2:3", "1:4", "2:4", "3:4", "1:8", "2:8", "4:8", "6:8", "1:16", "8:16")
 ]
-# every pattern _greedy_scan serves: 2n >= m and 2m counters in one uint64
+# every pattern transposable_mask sends to _greedy_scan, written out so that
+# a layout change cannot move a pattern between the kernels unnoticed
 SCAN_PATTERNS = [
-    NmPattern(n, m)
-    for m in range(2, 17)
-    for n in range(1, m + 1)
-    if 2 * n >= m and 2 * m * _counter_width(n) <= 64
+    NmPattern.parse(p)
+    for p in (
+        "1:2", "2:2", "2:3", "3:3", "2:4", "3:4", "4:4", "3:5", "4:5", "5:5",
+        "3:6", "4:6", "5:6", "6:6", "4:7", "5:7", "6:7", "7:7",
+        "4:8", "5:8", "6:8", "7:8", "8:8",
+    )
 ]
+# the scan patterns whose counters leave no room for the bit offset
+MASKED_ADD_PATTERNS = [NmPattern(n, 8) for n in (5, 6, 7, 8)]
 
 
 def greedy_cases(pattern, seed):
@@ -842,7 +848,50 @@ class TestTransposableMask:
         n, m = pattern.n, pattern.m
         for w in greedy_cases(pattern, seed=pattern.m * 10 + pattern.n + 2):
             tiles = tiles_of(np.abs(w), m)
-            assert np.array_equal(_greedy_scan(tiles, n, m), _greedy_tiles(tiles, n, m))
+            assert np.array_equal(_greedy_scan(tiles, n, m), _greedy_tiles(tiles.copy(), n, m))
+
+    def test_approx_sends_exactly_the_scan_patterns_to_the_scan(self, monkeypatch):
+        calls = []
+
+        def kernel(name):
+            def record(abs_tiles, n, m):
+                calls.append((name, NmPattern(n, m)))
+                return np.zeros(abs_tiles.shape, dtype=np.uint8)
+            return record
+
+        monkeypatch.setattr(masks, "_greedy_scan", kernel("scan"))
+        monkeypatch.setattr(masks, "_greedy_tiles", kernel("rounds"))
+        for m in range(2, 33):
+            for n in range(1, m + 1):
+                transposable_mask(np.ones((m, m)), NmPattern(n, m), TransposableMethod.TWO_APPROX)
+        assert [p for name, p in calls if name == "scan"] == SCAN_PATTERNS
+        assert len(calls) == sum(range(2, 33))
+
+    def test_scan_step_shifts_except_at_m8_n5_and_up(self):
+        # a shifted table puts every guard bit at 2**6 or above, so any hit
+        # shifts an increment by 64 or more
+        for p in SCAN_PATTERNS:
+            guard, _, _, shifted = _scan_tables(p.n, p.m)
+            assert shifted == (p not in MASKED_ADD_PATTERNS)
+            assert (not (guard & np.uint64(63)).any()) == shifted
+
+    def test_scan_tables_are_cached_and_read_only(self):
+        guard, one, _, _ = _scan_tables(2, 4)
+        assert _scan_tables(2, 4)[0] is guard
+        with pytest.raises(ValueError):
+            one[0] = 0
+
+    def test_right_shift_by_64_or_more_clears_a_uint64(self):
+        # the scan step relies on this; C leaves such shifts undefined, numpy
+        # defines them as 0 (a long operand also takes any vectorized loop)
+        values = np.arange(1, 300, dtype=np.uint64) << np.uint64(20)
+        for count in (64, 65, 1 << 6 | 1 << 40, 1 << 63):
+            shift = np.full(values.shape, count, dtype=np.uint64)
+            assert not np.right_shift(values, shift).any()
+            assert not np.right_shift(values, np.uint64(count)).any()
+            out = values.copy()
+            np.right_shift(out, shift, out=out)
+            assert not out.any()
 
     @pytest.mark.parametrize("pattern", GREEDY_PATTERNS, ids=str)
     def test_greedy_is_maximal(self, pattern):

@@ -29,6 +29,21 @@ class TestMatrixConstructor:
         with pytest.raises(ValueError, match="positive"):
             matrix(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1 + 2j, 3]]),
+            [["1.5", "2"]],
+            np.array([[b"1", b"2"]]),
+            np.array([[1, 2]], dtype="datetime64[s]"),
+            np.array([[1, 2]], dtype="timedelta64[s]"),
+        ],
+        ids=["complex", "str", "bytes", "datetime", "timedelta"],
+    )
+    def test_rejects_complex_and_text(self, bad):
+        with pytest.raises(ValueError, match="real matrix"):
+            matrix(bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
