@@ -16,10 +16,13 @@ def matrix(values) -> np.ndarray:
     """Validate ``values`` as a finite 2-D real matrix and return it as float64.
 
     Rejects complex, text (str or bytes) and datetime or timedelta input,
-    anything that is not two-dimensional, has an empty axis, or contains
-    NaN/Inf. Returns a C-contiguous (row-major) array.
+    also as the elements of an object array, anything that is not
+    two-dimensional, has an empty axis, or contains NaN/Inf. Returns a
+    C-contiguous (row-major) array.
     """
     a = np.asarray(values)
+    if a.dtype.kind == "O":  # re-infer from the elements, so the kind test sees complex or text
+        a = np.array(a.tolist())
     if a.dtype.kind in "cSUmM":
         raise ValueError(f"expected a real matrix, got dtype {a.dtype}")
     a = a.astype(np.float64, copy=False)

@@ -305,13 +305,26 @@ def criterion_keys(w, fwd, perm, pattern, criterion, gradient, seed):
     return np.random.default_rng(seed).random(w.shape)
 
 
-def sampling_keys_unscaled(stat, m, rng):
-    """The sampling keys as computed before overflowing blocks were rescaled."""
+def normalized_sampling_keys(stat, m, rng):
+    """log(x / total) + Gumbel keys of a (rows, cols) statistic, in row order.
+
+    The textbook Gumbel-top-k keys divide each column block by its total. A
+    block whose total overflows is divided by its maximum first, and an entry
+    whose share underflows to zero takes log(x) - log(scale) - log(total / scale)
+    in place of log(0). The draws are those of ``_sampling_keys``. Adding
+    -log(total) to a whole block cannot change its top N, so wherever every
+    share is normal or underflows to zero these keys select what
+    ``_sampling_keys`` selects.
+    """
     rows, cols = stat.shape
     blocked = stat.reshape(rows // m, m, cols)
-    totals = blocked.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(blocked.sum(axis=1, keepdims=True))
+    scale = np.where(overflows, blocked.max(axis=1, keepdims=True), 1.0)
+    totals = (blocked / scale).sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(blocked > 0, np.log(blocked / np.where(totals > 0, totals, 1.0)), -np.inf)
+        share = blocked / scale / totals
+        logp = np.where(share > 0, np.log(share), np.log(blocked) - np.log(scale) - np.log(totals))
         gumbel = -np.log(-np.log(rng.random(blocked.shape)))
     keys = np.where(blocked > 0, logp + gumbel, -1e12 + rng.random(blocked.shape))
     return keys.reshape(rows, cols)
@@ -434,16 +447,15 @@ class TestSamplingKeys:
         assert sampled.bits.sum() == by_weight.bits.sum() == fits
         assert np.isfinite(sampling_keys(np.abs(fwd.apply(w)), 4, np.random.default_rng(1))).all()
 
-    def test_underflowing_shares_keep_finite_keys(self):
-        # a 1e-320 entry's share of a 1e300 block underflows to zero; its key
-        # is log(x) - log(total) instead of -inf, and every other key is unchanged
-        stat = np.where(np.arange(16).reshape(4, 4) % 3 == 0, 1e300, 1e-320)
-        keys = sampling_keys(stat, 4, np.random.default_rng(0))
-        old = sampling_keys_unscaled(stat, 4, np.random.default_rng(0))
-        assert np.isfinite(keys).all()
-        under = np.isneginf(old)
-        assert under.any()
-        assert np.array_equal(keys[~under], old[~under])
+    def test_keys_are_log_magnitude_plus_gumbel(self):
+        # no block total enters the keys: 1e300 and 5e-324 keep finite logs
+        stat = np.array([[1e300], [1e-20], [5e-324], [0.0]])
+        keys = sampling_keys(stat, 4, np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        gumbel = -np.log(-np.log(draws.random((1, 4, 1)).reshape(4, 1)))
+        band = -1e12 + draws.random((1, 4, 1)).reshape(4, 1)
+        assert np.array_equal(keys[:3], np.log(stat[:3]) + gumbel[:3])
+        assert keys[3, 0] == band[3, 0]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_underflowing_share_is_kept_like_weight_magnitude(self, seed):
@@ -468,22 +480,21 @@ class TestSamplingKeys:
         assert backward_mask(w, fwd, None, p34).bits[:, 0].tolist() == [1, 1, 1, 0]
         assert sampled.bits[:, 0].tolist() == [1, 1, 1, 0]
 
-    def test_finite_totals_give_unchanged_keys(self):
-        rng = np.random.default_rng(8)
-        for scale in (1.0, 1e300, 1e-300):
-            stat = np.abs(np.round(rng.normal(size=(8, 12)), 1)) * scale
-            got = sampling_keys(stat, 4, np.random.default_rng(3))
-            assert np.array_equal(got, sampling_keys_unscaled(stat, 4, np.random.default_rng(3)))
-        # one overflowing block leaves every other block's keys as they were
-        stat = np.abs(rng.normal(size=(8, 12)))
-        stat[:4, 5] = NEAR_MAX
-        got = sampling_keys(stat, 4, np.random.default_rng(4))
-        with np.errstate(over="ignore"):
-            old = sampling_keys_unscaled(stat, 4, np.random.default_rng(4))
-        finite_block = np.ones(stat.shape, dtype=bool)
-        finite_block[:4, 5] = False
-        assert np.array_equal(got[finite_block], old[finite_block])
-        assert np.isfinite(got[:4, 5]).all()
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=str)
+    def test_masks_match_the_normalized_keys(self, pattern):
+        # kernel_cases hold normal-range blocks, blocks whose totals overflow
+        # and blocks where a 1e-320 entry's share underflows to zero
+        n, m = pattern.n, pattern.m
+        criterion = BinarizationCriterion.MULTINOMIAL_SAMPLING
+        rng = np.random.default_rng(pattern.m * 10 + pattern.n + 3)
+        for w in kernel_cases(pattern, seed=pattern.m * 10 + pattern.n + 4):
+            fwd = forward_mask(w, pattern)
+            perm = rng.permutation(w.shape[0])
+            stat = np.abs(fwd.apply(w))[perm]
+            for seed in range(3):
+                bwd = backward_mask(w, fwd, perm, pattern, criterion, seed=seed)
+                keys = normalized_sampling_keys(stat, m, np.random.default_rng(seed))
+                assert np.array_equal(bwd.bits, column_block_sort_oracle(keys, n, m) * fwd.bits[perm])
 
 
 @st.composite

@@ -21,6 +21,11 @@ class TestMatrixConstructor:
         assert a.dtype == np.float64
         assert a.shape == (2, 2)
 
+    def test_accepts_object_array_of_reals(self):
+        a = matrix(np.array([[1.5, 2], [np.float32(3), True]], dtype=object))
+        assert a.dtype == np.float64
+        assert a.tolist() == [[1.5, 2.0], [3.0, 1.0]]
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
             matrix([1.0, 2.0])
@@ -37,8 +42,10 @@ class TestMatrixConstructor:
             np.array([[b"1", b"2"]]),
             np.array([[1, 2]], dtype="datetime64[s]"),
             np.array([[1, 2]], dtype="timedelta64[s]"),
+            np.array([[1 + 2j, 3]], dtype=object),
+            np.array([["1.5", 2]], dtype=object),
         ],
-        ids=["complex", "str", "bytes", "datetime", "timedelta"],
+        ids=["complex", "str", "bytes", "datetime", "timedelta", "object-complex", "object-str"],
     )
     def test_rejects_complex_and_text(self, bad):
         with pytest.raises(ValueError, match="real matrix"):

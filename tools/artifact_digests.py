@@ -33,7 +33,12 @@ must print the same lines on both. Each line is ``sha256  name``:
 * the transposable ``mask_diversity`` count of every N:M with M <= 12;
 * ``EXACT`` and ``TWO_APPROX`` transposable masks of random 32 x 96 and
   96 x 32 matrices at 2:4, 2:8 and 1:16, whose tile grids are not square,
-  and one ``EXACT`` mask of a random 128 x 128 matrix at 2:4 (1 024 tiles).
+  and one ``EXACT`` mask of a random 128 x 128 matrix at 2:4 (1 024 tiles);
+* ``MULTINOMIAL_SAMPLING`` backward masks at the top-N patterns, seeds 0 to
+  2, of two fixed 48 x 48 matrices at the ends of the float range: one of
+  |w| in [0.5, 1] x 1.7e308 with ~20% zeros, whose column-block totals
+  overflow, and one mixing 1e300, 1e-30, 1e-320 and 0, where each entry's
+  share of its block total is either normal or underflows to exactly 0.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -59,6 +64,8 @@ SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 DIVERSITY_MAX_M = 12
 GRID_SHAPES = ((32, 96), (96, 32))
 GRID_PATTERNS = ("2:4", "2:8", "1:16")
+SAMPLING_SEEDS = (0, 1, 2)
+NEAR_MAX = 1.7e308
 
 
 def file_digest(path: str) -> str:
@@ -198,6 +205,22 @@ def grid_digests(kit, seed=3):
     yield mask_digest(mask), f"{methods.EXACT.value}-128x128-2of4"
 
 
+def extreme_sampling_digests(kit, seed=4):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), size=(48, 48))
+    overflow = rng.uniform(0.5, 1.0, size=(48, 48)) * NEAR_MAX * signs * (rng.random((48, 48)) >= 0.2)
+    mixed = rng.choice((1e300, 1e-30, 1e-320, 0.0), size=(48, 48)) * signs
+    perm = rng.permutation(48)
+    criterion = kit.BinarizationCriterion.MULTINOMIAL_SAMPLING
+    for kind, matrix in (("overflow", overflow), ("mixed", mixed)):
+        for text in TOP_N_PATTERNS:
+            pattern = kit.NmPattern.parse(text)
+            fwd = kit.forward_mask(matrix, pattern)
+            for s in SAMPLING_SEEDS:
+                bwd = kit.backward_mask(matrix, fwd, perm, pattern, criterion, seed=s)
+                yield mask_digest(bwd), f"backward-{criterion.value}-{kind}-{text.replace(':', 'of')}-s{s}"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -214,7 +237,8 @@ def main(argv) -> int:
             digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
                                       transposable_digests(kit, methods.TWO_APPROX), top_n_digests(kit),
                                       search_digests(kit), transposable_digests(kit, methods.EXACT),
-                                      diversity_digests(kit), grid_digests(kit))
+                                      diversity_digests(kit), grid_digests(kit),
+                                      extreme_sampling_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
