@@ -104,24 +104,17 @@ class BlockViolation:
     limit: int
 
 
-def _top_one(keys: np.ndarray, n: int) -> np.ndarray:
-    """The top n of every block of block-major (m, ...) keys, for n in {0, 1, m - 1, m}.
+def _top_one(keys: np.ndarray) -> np.ndarray:
+    """The largest key of every block of block-major (m, ...) keys, as 0/1 uint8.
 
-    At n = 1 one argmax keeps the first maximum; at n = m - 1 one argmin
-    over the reversed block drops the last minimum. Both are the places of
-    a stable descending sort, -inf included. The result, 0/1 uint8, has the
-    layout of ``keys``; the compare runs in C order, so on the transposed
-    rows of ``forward_mask`` its inner loop spans the blocks, not one block.
+    One argmax keeps each block's first maximum, the place of a stable
+    descending sort, -inf included. The result has the layout of ``keys``;
+    the compare runs in C order, so on the transposed rows of
+    ``forward_mask`` its inner loop spans the blocks, not one block.
     """
-    m = keys.shape[0]
-    slot = np.arange(m).reshape(-1, *[1] * (keys.ndim - 1))
+    slot = np.arange(keys.shape[0]).reshape(-1, *[1] * (keys.ndim - 1))
     out = np.empty_like(keys, dtype=bool)
-    if n in (0, m):
-        out.fill(n == m)
-    elif n == 1:
-        np.equal(slot, keys.argmax(axis=0), out=out, order="C")
-    else:
-        np.not_equal(slot, m - 1 - keys[::-1].argmin(axis=0), out=out, order="C")
+    np.equal(slot, keys.argmax(axis=0), out=out, order="C")
     return out.view(np.uint8)
 
 
@@ -147,25 +140,15 @@ def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
     return (rank < n).view(np.uint8)
 
 
-def _uses_ranks(n: int, m: int) -> bool:
-    """Whether ``_top_n`` takes n of every m keys by pairwise ranks.
-
-    When min(n, m - n) is at most one (1:m and (m-1):m, or n = 0 and n = m)
-    one argmax or argmin of ``_top_one`` finds the slot to keep or drop,
-    against the m - 1 rank passes; the ranks serve every other n.
-    """
-    return min(n, m - n) > 1
-
-
 def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     """The n largest keys of every block of block-major (m, ...) keys, as 0/1 uint8.
 
     Axis 0 runs along each block of m keys, and the result has the layout
     of ``keys``. Ties keep the lowest index, as in a stable descending sort.
-    ``_uses_ranks`` picks the kernel from (n, m) alone; ``_top_n_ranks``
-    wants the last axis of ``keys`` contiguous, ``_top_one`` any layout.
+    One argmax per block (``_top_one``) serves n = 1 in any layout; the
+    pairwise ranks serve every other n and want the last axis contiguous.
     """
-    return _top_n_ranks(keys, n) if _uses_ranks(n, keys.shape[0]) else _top_one(keys, n)
+    return _top_one(keys) if n == 1 else _top_n_ranks(keys, n)
 
 
 def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
@@ -174,8 +157,8 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     Within each block of M contiguous columns of a row, the N largest |w|
     entries survive; magnitude ties keep the lowest column index (the place
     of a stable descending sort), so the result is deterministic and has
-    exactly N ones per block. ``_top_n`` takes them by pairwise ranks, or by
-    one argmax or argmin per block at 1:M and (M-1):M.
+    exactly N ones per block. ``_top_n`` takes them by one argmax per block
+    at 1:M and by pairwise ranks otherwise.
     """
     w = matrix(w)
     n, m = pattern.n, pattern.m
@@ -183,7 +166,7 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     check_divisible(cols, m, "matrix cols")
     # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
     # of the rows for _top_one, whose argmax reads each block contiguously
-    keys = np.abs(w.reshape(-1, m).T, order="C" if _uses_ranks(n, m) else "K")
+    keys = np.abs(w.reshape(-1, m).T, order="K" if n == 1 else "C")
     bits = _top_n(keys, n).T
     return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
 
@@ -294,24 +277,23 @@ def _counter_width(n: int) -> int:
 
 
 @cache
-def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64, bool]:
+def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
     """``_greedy_scan``'s read-only word tables at n:m, built once per pattern.
 
-    For each flat tile index r * m + c: ``guard``, the top bits of row r's
-    and column c's counters, and ``one``, a one in each of those counters.
-    Then ``start``, the word with every counter at 2**(width-1) - n, and
-    whether the fields start at bit 7 - width, which puts the lowest top bit
-    at 2**6. Only where that offset does not fit (M = 8 with N >= 5, whose
-    sixteen 4-bit counters fill the word) do they start at bit 0.
+    The 2 * m counter fields start at bit 7 - width, which puts every top bit
+    at 2**6 or above; the caller checks that they fit one uint64. For each
+    flat tile index r * m + c: ``guard``, the top bits of row r's and column
+    c's counters, and ``one``, a one in each of those counters. Then
+    ``start``, the word with every counter at 2**(width-1) - n.
     """
     width = _counter_width(n)
-    offset = 7 - width if 7 - width + 2 * m * width <= 64 else 0
+    offset = 7 - width
     field = np.uint64(1) << np.arange(offset, offset + 2 * m * width, width, dtype=np.uint64)
     top = field << np.uint64(width - 1)
     r, c = np.divmod(np.arange(m * m), m)
     guard, one = top[r] | top[m + c], field[r] + field[m + c]
     guard.flags.writeable = one.flags.writeable = False
-    return guard, one, np.uint64((1 << (width - 1)) - n) * field.sum(), offset > 0
+    return guard, one, np.uint64((1 << (width - 1)) - n) * field.sum()
 
 
 def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -326,7 +308,8 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     tile is done once its maximum is negative. Each round adds a one to every
     tile still running, hence at most n * m rounds, each about a dozen
     fancy-indexed calls. Few rounds make this the faster kernel when 2n < m;
-    it also serves patterns whose counters do not fit ``_greedy_scan``'s word.
+    it also serves every pattern whose counters do not fit ``_greedy_scan``'s
+    word, such as M = 8 with N >= 5 and M >= 9 with 2N >= M.
 
     Consumes its input: entries of ``abs_tiles`` are overwritten wherever
     its (tiles, m * m) reshape is a view, as for the C-ordered stack that
@@ -370,31 +353,22 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     entry's increment right by that result and adds it. The fields start at
     bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
     or more to 0: a blocked entry adds nothing, and its increment, read back
-    after the loop, is zero. Where that offset does not fit (M = 8 with
-    N >= 5), a step compares the AND with zero and adds where kept. Needs
-    2 * m * width <= 64 bits; it beats the rounds when 2n >= m.
+    after the loop, is zero. Needs 7 - width + 2 * m * width <= 64 bits; it
+    beats the rounds when 2n >= m.
     """
     tiles = abs_tiles.shape[0]
-    guard, one, start, shifted = _scan_tables(n, m)
+    guard, one, start = _scan_tables(n, m)
     # step-major and C-contiguous, so that every step reads contiguous rows
     order = np.ascontiguousarray(np.argsort(-abs_tiles.reshape(tiles, m * m), axis=1, kind="stable").T)
     guards, ones = guard[order], one[order]  # (m * m, tiles)
     counters = np.full(tiles, start)
     hit = np.empty(tiles, dtype=np.uint64)
-    if shifted:
-        for g, o in zip(guards, ones):
-            np.bitwise_and(counters, g, out=hit)
-            np.right_shift(o, hit, out=o)
-            counters += o
-        kept = ones != 0
-    else:
-        kept = np.empty((m * m, tiles), dtype=bool)
-        for s in range(m * m):
-            np.bitwise_and(counters, guards[s], out=hit)
-            np.equal(hit, 0, out=kept[s])
-            np.add(counters, ones[s], out=counters, where=kept[s])
+    for g, o in zip(guards, ones):
+        np.bitwise_and(counters, g, out=hit)
+        np.right_shift(o, hit, out=o)
+        counters += o
     bits = np.zeros((m * m, tiles), dtype=np.uint8)
-    bits[order, np.arange(tiles)] = kept
+    bits[order, np.arange(tiles)] = ones != 0
     return bits.T.reshape(tiles, m, m)
 
 
@@ -513,10 +487,10 @@ def transposable_mask(
     greedily inserts entries by descending magnitude (ties to the lowest
     row-major index in the tile) and is guaranteed at least half the exact
     tile optimum. Two kernels give the same greedy bit for bit, chosen from
-    (N, M) alone: when 2N >= M and the tile's 2M counters fit one uint64,
-    one scan of M * M vectorized steps over the sorted entries, each an AND,
-    a shift and an add of counter words (``_greedy_scan``; a masked add at
-    M = 8 with N >= 5); otherwise at most N * M argmax rounds
+    (N, M) alone: when 2N >= M and the tile's 2M counters, from bit 7 - width
+    up, fit one uint64, one scan of M * M vectorized steps over the sorted
+    entries, each an AND, a shift and an add of counter words
+    (``_greedy_scan``); otherwise at most N * M argmax rounds
     (``_greedy_tiles``), which are fewer when N is small against M.
     """
     w = matrix(w)
@@ -526,9 +500,10 @@ def transposable_mask(
     check_divisible(cols, m, "matrix cols")
     grid = (rows // m, cols // m)
     tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)
+    width = _counter_width(n)
     if method is TransposableMethod.EXACT:
         tile_bits = _exact_tiles(tiles, n, m)
-    elif 2 * n >= m and 2 * m * _counter_width(n) <= 64:
+    elif 2 * n >= m and 7 - width + 2 * m * width <= 64:
         tile_bits = _greedy_scan(tiles, n, m)
     else:
         tile_bits = _greedy_tiles(tiles, n, m)

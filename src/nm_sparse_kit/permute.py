@@ -59,7 +59,8 @@ def count_eligible_blocks(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int
     n, m = pattern.n, pattern.m
     rows, cols = masked_w.shape
     check_divisible(rows, m, "matrix rows")
-    nonzeros = (masked_w != 0).reshape(rows // m, m, cols).sum(axis=1)
+    # the narrowest type that holds m sums the middle axis fastest
+    nonzeros = (masked_w != 0).reshape(rows // m, m, cols).sum(axis=1, dtype=np.min_scalar_type(m))
     return int((nonzeros <= n).sum()), int(nonzeros.size)
 
 

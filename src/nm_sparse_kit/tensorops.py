@@ -7,6 +7,7 @@ Operations never mutate their inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,17 @@ class NmPattern:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise ValueError(f"pattern needs integer n and m, got ({self.n!r}, {self.m!r})")
+        # any integer type (numpy's too) is stored as a plain int, so the pattern
+        # prints as N:M; bools index like 0 and 1 but print as False and True
+        not_integer = ValueError(f"pattern needs integer n and m, got ({self.n!r}, {self.m!r})")
+        if isinstance(self.n, bool) or isinstance(self.m, bool):
+            raise not_integer
+        try:
+            n, m = operator.index(self.n), operator.index(self.m)
+        except TypeError:
+            raise not_integer from None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         if self.m < 2:
             raise ValueError(f"pattern m must be >= 2, got {self.m}")
         if not 1 <= self.n <= self.m:

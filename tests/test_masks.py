@@ -37,7 +37,6 @@ from nm_sparse_kit.masks import (
     _top_n_ranks,
     _top_one,
     _transposable_count_dp,
-    _uses_ranks,
 )
 from nm_sparse_kit.tensorops import NmPattern
 
@@ -330,7 +329,8 @@ def normalized_sampling_keys(stat, m, rng):
     return keys.reshape(rows, cols)
 
 
-# both sides of _uses_ranks: one argmax or argmin at 1:M, (M-1):M and M:M, pairwise ranks otherwise
+# both sides of the top-N kernel choice: one argmax at 1:M, pairwise ranks otherwise,
+# (M-1):M and M:M included
 KERNEL_PATTERNS = [
     NmPattern.parse(p)
     for p in ("1:4", "2:4", "3:4", "4:4", "1:8", "2:8", "3:8", "4:8", "6:8", "1:16", "8:16", "16:16")
@@ -387,8 +387,8 @@ class TestTopNKernel:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16])
     def test_keys_with_infinities_and_signed_zeros(self, m):
         # -inf keys must never let a taken slot be picked twice; the ranks
-        # are checked at every n, not only where _uses_ranks sends them, and
-        # _top_one over its whole domain, on a copy and on a transposed view
+        # are checked at every n, not only where _top_n sends them, and
+        # _top_one at n = 1, on a copy and on a transposed view
         rng = np.random.default_rng(100 + m)
         values = [-np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1.0, np.inf]
         for n in range(0, m + 1):
@@ -397,9 +397,9 @@ class TestTopNKernel:
                 keys[rng.random((9, m)) < 0.3] = -np.inf
                 keys[0] = -np.inf
                 expected = top_n_sort_oracle(keys, n)
-                if not _uses_ranks(n, m):
-                    assert np.array_equal(_top_one(keys.T.copy(), n).T, expected)
-                    assert np.array_equal(_top_one(keys.T, n).T, expected)
+                if n == 1:
+                    assert np.array_equal(_top_one(keys.T.copy()).T, expected)
+                    assert np.array_equal(_top_one(keys.T).T, expected)
                 assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
                 assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
                 assert np.array_equal(
@@ -416,21 +416,33 @@ class TestTopNKernel:
         expected = top_n_sort_oracle(keys, n)
         assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
         assert np.array_equal(_top_n(keys.T.copy(), n).T, expected)
-        # _top_one is drawn inside its domain on every example
-        one = data.draw(st.sampled_from([0, 1, m - 1, m]))
-        expected = top_n_sort_oracle(keys, one)
-        assert np.array_equal(_top_one(keys.T.copy(), one).T, expected)
-        assert np.array_equal(_top_one(keys.T, one).T, expected)
-        assert np.array_equal(column_block_top_n(keys.T.copy(), one, m), column_block_sort_oracle(keys.T, one, m))
+        # _top_one, which serves n = 1 only, runs on every example
+        expected = top_n_sort_oracle(keys, 1)
+        assert np.array_equal(_top_one(keys.T.copy()).T, expected)
+        assert np.array_equal(_top_one(keys.T).T, expected)
+        assert np.array_equal(column_block_top_n(keys.T.copy(), 1, m), column_block_sort_oracle(keys.T, 1, m))
+
+    def test_top_n_sends_exactly_the_n1_patterns_to_the_argmax(self, monkeypatch):
+        used = []
+        monkeypatch.setattr(masks, "_top_one", lambda keys: used.append("argmax") or _top_one(keys))
+        monkeypatch.setattr(masks, "_top_n_ranks", lambda keys, n: used.append("ranks") or _top_n_ranks(keys, n))
+        rng = np.random.default_rng(7)
+        for m in range(2, 17):
+            for n in range(1, m + 1):
+                pattern = NmPattern(n, m)
+                w = rng.normal(size=(m, 2 * m))
+                used.clear()
+                backward_mask(w, forward_mask(w, pattern), None, pattern)
+                assert used == ["argmax" if n == 1 else "ranks"] * 2, pattern
 
     def test_ranks_need_a_wide_enough_counter(self):
         # at M = 258 a rank reaches 257, which does not fit in a uint8
         p = NmPattern(3, 258)
-        assert _uses_ranks(p.n, p.m)
         rng = np.random.default_rng(258)
         w = np.round(rng.normal(size=(2, 258)), 1)
         assert np.array_equal(forward_mask(w, p).bits, forward_sort_oracle(w, p))
         keys = np.abs(w.T)
+        assert np.array_equal(_top_n_ranks(keys.copy(), p.n).T, top_n_sort_oracle(keys.T, p.n))
         assert np.array_equal(column_block_top_n(keys, p.n, p.m), column_block_sort_oracle(keys, p.n, p.m))
 
 
@@ -579,7 +591,7 @@ class TestTransposableProperties:
     @given(tile_matrices())
     def test_approx_equals_the_per_tile_greedy_oracle(self, case):
         # M up to 16 puts cases on both kernels, and on both sides of the
-        # scan's word limit (8:16 takes the rounds)
+        # scan's word limit (5:8 to 8:8 and 8:16 take the rounds)
         w, pattern = case
         approx = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
         assert np.array_equal(approx.bits, greedy_mask_oracle(w, pattern))
@@ -626,7 +638,7 @@ def greedy_mask_oracle(w, pattern):
 
 GREEDY_PATTERNS = [
     NmPattern.parse(p)
-    for p in ("2:2", "2:3", "1:4", "2:4", "3:4", "1:8", "2:8", "4:8", "6:8", "1:16", "8:16")
+    for p in ("2:2", "2:3", "1:4", "2:4", "3:4", "1:8", "2:8", "4:8", "5:8", "6:8", "7:8", "8:8", "1:16", "8:16")
 ]
 # every pattern transposable_mask sends to _greedy_scan, written out so that
 # a layout change cannot move a pattern between the kernels unnoticed
@@ -635,11 +647,9 @@ SCAN_PATTERNS = [
     for p in (
         "1:2", "2:2", "2:3", "3:3", "2:4", "3:4", "4:4", "3:5", "4:5", "5:5",
         "3:6", "4:6", "5:6", "6:6", "4:7", "5:7", "6:7", "7:7",
-        "4:8", "5:8", "6:8", "7:8", "8:8",
+        "4:8",
     )
 ]
-# the scan patterns whose counters leave no room for the bit offset
-MASKED_ADD_PATTERNS = [NmPattern(n, 8) for n in (5, 6, 7, 8)]
 
 
 def greedy_cases(pattern, seed):
@@ -878,16 +888,16 @@ class TestTransposableMask:
         assert [p for name, p in calls if name == "scan"] == SCAN_PATTERNS
         assert len(calls) == sum(range(2, 33))
 
-    def test_scan_step_shifts_except_at_m8_n5_and_up(self):
-        # a shifted table puts every guard bit at 2**6 or above, so any hit
-        # shifts an increment by 64 or more
+    def test_scan_guard_bits_sit_at_2_to_the_6_or_above(self):
+        # so any hit shifts an increment by 64 or more; two set bits per
+        # guard, a row's and a column's, show that no field fell off the word
         for p in SCAN_PATTERNS:
-            guard, _, _, shifted = _scan_tables(p.n, p.m)
-            assert shifted == (p not in MASKED_ADD_PATTERNS)
-            assert (not (guard & np.uint64(63)).any()) == shifted
+            guard, _, _ = _scan_tables(p.n, p.m)
+            assert not (guard & np.uint64(63)).any()
+            assert (np.bitwise_count(guard) == 2).all()
 
     def test_scan_tables_are_cached_and_read_only(self):
-        guard, one, _, _ = _scan_tables(2, 4)
+        guard, one, _ = _scan_tables(2, 4)
         assert _scan_tables(2, 4)[0] is guard
         with pytest.raises(ValueError):
             one[0] = 0
@@ -1108,6 +1118,16 @@ class TestMaskSerialization:
         back = load_mask(path)
         assert back.direction is mask.direction
         assert back.pattern == mask.pattern
+        assert np.array_equal(back.bits, mask.bits)
+
+    def test_round_trip_of_a_numpy_integer_pattern(self, tmp_path):
+        pattern = NmPattern(np.int64(2), np.int32(4))
+        mask = forward_mask(np.random.default_rng(62).normal(size=(4, 8)), pattern)
+        path = tmp_path / "mask.txt"
+        save_mask(path, mask)
+        assert format_mask(mask).splitlines()[0] == "forward 2 4"
+        back = load_mask(path)
+        assert back.pattern == P24
         assert np.array_equal(back.bits, mask.bits)
 
     def test_header_format(self):

@@ -67,6 +67,18 @@ class TestNmPattern:
         with pytest.raises(ValueError):
             NmPattern(n, m)
 
+    @pytest.mark.parametrize("n,m", [(True, 2), (1, True), (np.True_, 2), (2.0, 4), ("2", 4)])
+    def test_rejects_non_integers_and_bools(self, n, m):
+        # True:2 would build masks but print a pattern nothing can parse back
+        with pytest.raises(ValueError, match="integer"):
+            NmPattern(n, m)
+
+    def test_numpy_integers_become_plain_ints(self):
+        p = NmPattern(np.int64(2), np.uint8(4))
+        assert type(p.n) is int and type(p.m) is int
+        assert p == NmPattern(2, 4) and hash(p) == hash(NmPattern(2, 4))
+        assert NmPattern.parse(str(p)) == p
+
     def test_parse_rejects_garbage(self):
         for text in ("24", "2:4:8", "a:b"):
             with pytest.raises(ValueError):

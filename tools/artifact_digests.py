@@ -18,12 +18,12 @@ must print the same lines on both. Each line is ``sha256  name``:
   permutation and masks;
 * ``TWO_APPROX`` transposable masks of fixed random, tie-heavy and
   zero-heavy 48 x 48 matrices at patterns on both sides of the greedy's
-  kernel choice, including 8:16, whose counters do not fit the scan;
+  kernel choice, including 5:8 to 8:8 and 8:16, whose counters do not fit
+  the scan's word and so take the argmax rounds though 2N >= M;
 * forward masks of the same matrices, and backward masks under all four
   criteria (fixed permutation, gradient and seed), at patterns on both
-  sides of the top-N kernel choice: one argmax or argmin at 1:M and
-  (M-1):M, pairwise ranks otherwise, then 1:2 (N = 1 = M-1) and 4:4
-  (N = M);
+  sides of the top-N kernel choice: one argmax at 1:M, 1:2 included, and
+  pairwise ranks otherwise, (M-1):M and 4:4 (N = M) included;
 * ``search_permutation`` of the same matrices, forward-masked, at 2:4, 2:8,
   3:8, 1:16 and 4:4 (k = 50), and of a random 512 x 512 matrix at 2:8
   (k = 100, whose 101 candidates the scorer takes in two batches): the
@@ -58,7 +58,8 @@ SEEDS = (0, 1)
 TREND_CONFIGS = (("dense", "2:4"), ("bimask", "2:4"), ("transposable", "2:4"), ("bimask", "1:16"),
                  ("transposable", "1:16"))
 WALL_CLOCK_COLUMNS = ("search_seconds_total",)
-APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "6:8", "1:16", "8:16")
+APPROX_PATTERNS = ("1:2", "2:2", "2:3", "1:4", "2:4", "3:4", "2:8", "4:8", "5:8", "6:8", "7:8", "8:8", "1:16",
+                   "8:16")
 TOP_N_PATTERNS = ("1:4", "2:4", "3:4", "2:8", "4:8", "7:8", "1:16", "8:16", "15:16", "1:2", "4:4")
 SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 DIVERSITY_MAX_M = 12
