@@ -51,23 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _resolve_seed(flag: int | None, fallback: int | None = None) -> int:
+    """The first seed given of: the flag, the fallback (a config's seed), the environment, 0."""
     if flag is not None:
         return flag
     if fallback is not None:
         return fallback
-    env = _env_seed()
-    return env if env is not None else 0
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return 0
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

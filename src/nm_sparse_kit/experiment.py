@@ -85,16 +85,22 @@ def parse_config_value(key: str, text: str):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """The config.txt text of ``cfg``; a value holding ``#`` raises ValueError.
+    """The config.txt text of ``cfg``; a value it could not read back raises ValueError.
 
-    ``#`` starts a comment when the file is parsed, so such a value could not
-    be read back.
+    When the file is parsed, ``#`` starts a comment, a line break (any that
+    ``str.splitlines`` splits on) ends the line, and outer whitespace is
+    stripped, so a value holding any of them is refused, naming its key.
     """
     lines = [CONFIG_VERSION_LINE]
     for key in _CONFIG_KEYS:
         text = _text(getattr(cfg.train if key in _TRAIN_KEYS else cfg, key))
         if "#" in text:
             raise ValueError(f"config key {key!r} cannot hold '#', which starts a comment: {text!r}")
+        if text != text.strip() or len(text.splitlines()) > 1:
+            raise ValueError(
+                f"config key {key!r} cannot hold a line break or outer whitespace, "
+                f"which config.txt does not read back: {text!r}"
+            )
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 

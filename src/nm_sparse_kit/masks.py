@@ -492,7 +492,9 @@ def transposable_mask(
     entries, each an AND, a shift and an add of counter words
     (``_greedy_scan``); otherwise at most N * M argmax rounds
     (``_greedy_tiles``), which are fewer when N is small against M.
+    ``method`` may be a member or its value; anything else raises ValueError.
     """
+    method = TransposableMethod(method)
     w = matrix(w)
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
@@ -563,8 +565,10 @@ def mask_diversity(pattern: NmPattern, family: MaskFamily, tile_rows: int | None
     sums stay within the N budget, via a column-capacity-profile dynamic
     program (m <= 16). Such a tile has exactly N ones in every column too, so
     complementing it is a bijection onto the (M - N):M tiles, and the two
-    patterns have the same count.
+    patterns have the same count. ``family`` may be a member or its value;
+    anything else raises ValueError.
     """
+    family = MaskFamily(family)
     n, m = pattern.n, pattern.m
     if family is MaskFamily.VANILLA:
         if tile_rows is None or tile_rows < 1:

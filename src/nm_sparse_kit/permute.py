@@ -86,13 +86,12 @@ def _ineligible_counts(packed: np.ndarray, perms: np.ndarray, n: int, m: int) ->
     ``perms`` is (candidates, rows). Over the m rows of every block, bit plane
     i holds the columns with at least i + 1 non-zeros so far, so plane n
     marks the columns with more than n: its popcount is the count. Plane i
-    is all zeros before the block's row i, so it starts there; at n = m
-    plane n is never reached and every block is eligible.
+    is all zeros before the block's row i, so it is first written there.
+    The planes are allocated zeroed: at n = m plane n is never written and
+    counts no block.
     """
-    if n == m:
-        return np.zeros(len(perms), dtype=np.int64)
     rows, words = packed.shape
-    planes = np.empty((n + 1, len(perms), rows // m, words), dtype=np.uint64)
+    planes = np.zeros((n + 1, len(perms), rows // m, words), dtype=np.uint64)
     planes[0] = np.take(packed, perms[:, 0::m], axis=0)
     for j in range(1, m):
         x = np.take(packed, perms[:, j::m], axis=0)

@@ -128,23 +128,22 @@ class SparseLinearLayer:
 
     For the bi-mask strategy the layer also carries the current row
     permutation and the backward mask generated from it; the backward mask is
-    indexed in the permuted row order.
+    indexed in the permuted row order. Only a refresh replaces ``fwd_mask``.
 
-    The masked weights and their permuted rows are built at most once per
-    mask refresh and shared by every product and count that reads them.
-    Assigning ``w`` drops them. The layer keeps its own read-only copy of
-    every array given as ``w``, since an in-place edit, by the caller or
-    through ``w``, would leave them stale; assign new weights instead.
+    Assigning ``w`` is the only way to store weights. On every strategy it
+    checks them (``matrix()``, then the layer's shape), keeps a read-only
+    float64 copy and drops the masked weights and their permuted rows, which
+    are built at most once per refresh and shared by every product and count.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
-        self.w = matrix(w)
+        self.w = w
         self.pattern = pattern
-        self.strategy = strategy
+        self.strategy = Strategy(strategy)
         self.salt = salt
         self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
-        self.fwd_mask: Mask | None = None
+        self._fwd_mask: Mask | None = None
         self.bwd_mask: Mask | None = None
         self._bwd_perm: np.ndarray | None = None
         _build_masks(self, BinarizationCriterion.WEIGHT_MAGNITUDE)
@@ -154,27 +153,27 @@ class SparseLinearLayer:
         return self._w
 
     @w.setter
-    def w(self, value: np.ndarray) -> None:
-        self._own_w(value.copy())
-
-    def _own_w(self, value: np.ndarray) -> None:
-        """Store ``value`` as the weights without a copy; no one else may hold it."""
-        self._w = _read_only(value)
-        self._drop_derived()
-
-    def _drop_derived(self) -> None:
+    def w(self, value) -> None:
+        w = matrix(value)
+        if w.shape != getattr(self, "_w", w).shape:  # the first assignment sets the shape
+            raise ValueError(f"layer weights are {self._w.shape}, got {w.shape}")
+        self._w = _read_only(w.copy())
         self._masked = self._masked_perm = None
+
+    @property
+    def fwd_mask(self) -> Mask | None:
+        return self._fwd_mask
 
     def masked_weights(self) -> np.ndarray:
         """The effective forward weights W (x) B (plain W on the dense path).
 
         On a masked layer the array is cached until the next refresh or
-        weight assignment, and read-only.
+        weight assignment, and read-only. The setter has checked the weights.
         """
-        if self.fwd_mask is None:
+        if self._fwd_mask is None:
             return self.w
         if self._masked is None:
-            self._masked = _read_only(self.fwd_mask.apply(self.w))
+            self._masked = _read_only(self._fwd_mask.bits * self.w)
         return self._masked
 
     def _permuted_masked(self) -> np.ndarray:
@@ -249,12 +248,12 @@ def _build_masks(
     """
     old_masks = (layer.fwd_mask, layer.bwd_mask)
     if layer.strategy is Strategy.DENSE:
-        layer.fwd_mask = None
+        layer._fwd_mask = None
     elif layer.strategy is Strategy.TRANSPOSABLE:
-        layer.fwd_mask = transposable_mask(layer.w, layer.pattern)
+        layer._fwd_mask = transposable_mask(layer.w, layer.pattern)
     else:
-        layer.fwd_mask = forward_mask(layer.w, layer.pattern)
-    layer._drop_derived()
+        layer._fwd_mask = forward_mask(layer.w, layer.pattern)
+    layer._masked = layer._masked_perm = None
 
     stats = RefreshStats()
     if layer.strategy is Strategy.BI_MASK:
@@ -445,9 +444,10 @@ def train(
                     v = velocities[i]
                     v *= config.momentum
                     v += g_w + config.weight_decay * layer.w
-                    layer._own_w(layer.w - lr * v)
-                    if not np.isfinite(layer.w).all():
-                        raise DivergenceError(t)
+                    update = layer.w - lr * v
+                    if not np.isfinite(update).all():
+                        raise DivergenceError(t)  # the layer keeps its last finite weights
+                    layer.w = update
 
             gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
             trace.steps.append(

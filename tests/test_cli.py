@@ -6,8 +6,9 @@ import pytest
 
 from nm_sparse_kit.cli import main
 from nm_sparse_kit.data import save_idx_images, save_idx_labels
-from nm_sparse_kit.masks import load_mask, validate_mask
-from nm_sparse_kit.tensorops import save_matrix
+from nm_sparse_kit.experiment import load_config
+from nm_sparse_kit.masks import forward_mask, load_mask, validate_mask
+from nm_sparse_kit.tensorops import NmPattern, save_matrix
 
 
 @pytest.fixture
@@ -120,6 +121,29 @@ class TestPermuteCommand:
 
         assert deterministic_fields() == deterministic_fields()
 
+    def test_seed_precedence_flag_env_zero(self, tmp_path, capsys, monkeypatch):
+        w = np.random.default_rng(0).normal(size=(16, 16))
+        path = tmp_path / "masked.txt"
+        save_matrix(path, forward_mask(w, NmPattern(2, 4)).apply(w))
+
+        def chosen(*flags):
+            assert main(["permute", "--pattern", "2:4", "--k", "5", *flags, str(path)]) == 0
+            return capsys.readouterr().out.strip().split(",")[4]
+
+        seeded = {seed: chosen("--seed", str(seed)) for seed in (0, 3, 42)}
+        assert len(set(seeded.values())) == 3  # the seeds pick different permutations
+        monkeypatch.delenv("NM_SPARSE_KIT_SEED", raising=False)
+        assert chosen() == seeded[0]
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")
+        assert chosen() == seeded[42]
+        assert chosen("--seed", "3") == seeded[3]
+
+    def test_non_integer_env_seed_exit_1(self, matrix_file, capsys, monkeypatch):
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "4.2")
+        assert main(["permute", "--pattern", "2:4", "--k", "5", str(matrix_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "must be an integer" in err
+
 
 def write_config(path, out_dir, extra=""):
     path.write_text(
@@ -161,6 +185,23 @@ class TestTrainCommand:
                      "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
         assert "vanilla" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, recorded", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
+    def test_seed_precedence_flag_config_env(self, tmp_path, capsys, monkeypatch, flags, recorded):
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out)  # seed = 5
+        assert main(["train", "--config", str(cfg), *flags]) == 0
+        assert load_config(out / "config.txt").train.seed == recorded
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\u2028b", "run "], ids=["newline", "separator", "space"])
+    def test_unreadable_out_dir_exit_1(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert main(["train", "--strategy", "dense", "--pattern", "2:4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "'out_dir'" in err
+        assert not out.exists()
 
     def test_usage_error_without_config_or_flags(self, capsys):
         assert main(["train"]) == 1

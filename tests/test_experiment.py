@@ -1,5 +1,3 @@
-import string
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +20,10 @@ from nm_sparse_kit.data import DatasetKind, save_idx_images, save_idx_labels
 from nm_sparse_kit.masks import BinarizationCriterion, load_mask, validate_mask
 from nm_sparse_kit.tensorops import NmPattern, load_matrix
 from nm_sparse_kit.training import Strategy, TrainConfig
+
+
+# every line boundary of str.splitlines, listed independently of the library
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def small_config(out_dir, strategy=Strategy.BI_MASK, **train_kw):
@@ -117,6 +119,15 @@ class TestConfigRoundTrip:
             run_experiment(small_config(tmp_path / "#1"))
         assert not (tmp_path / "#1").exists()
 
+    @pytest.mark.parametrize("value", [*(f"runs/a{c}b" for c in LINE_BREAKS), " runs/x ", "runs/x\t"])
+    def test_line_break_or_outer_whitespace_in_value_rejected(self, tmp_path, value):
+        cfg = ExperimentConfig(Strategy.DENSE, NmPattern(2, 4), dataset=value)
+        with pytest.raises(ValueError, match="'dataset' cannot hold a line break or outer whitespace"):
+            serialize_config(cfg)
+        with pytest.raises(ValueError, match="'out_dir' cannot hold a line break or outer whitespace"):
+            run_experiment(small_config(str(tmp_path / value)))
+        assert not any(tmp_path.iterdir())  # refused before anything is written
+
     def test_defaults_fill_missing_keys(self):
         cfg = parse_config("strategy = dense\npattern = 1:2\n")
         assert cfg == ExperimentConfig(Strategy.DENSE, NmPattern(1, 2))
@@ -124,9 +135,13 @@ class TestConfigRoundTrip:
 
 
 PATTERNS = st.integers(2, 64).flatmap(lambda m: st.integers(1, m).map(lambda n: NmPattern(n, m)))
-# values without outer whitespace; serialize_config rejects a comment marker
-TEXTS = st.text(string.ascii_letters + string.digits + "/._-:=# ", min_size=1).filter(lambda t: t == t.strip())
+TEXTS = st.text()
 COUNTS = st.integers(1, 2**63)
+
+
+def unreadable(text: str) -> bool:
+    """Whether config.txt could not read ``text`` back as a value."""
+    return "#" in text or text != text.strip() or any(c in text for c in LINE_BREAKS)
 
 
 def finite_floats(**bounds):
@@ -163,10 +178,10 @@ CONFIGS = st.builds(
 class TestConfigRoundTripProperties:
     @given(CONFIGS)
     def test_parse_of_serialize_is_identity(self, cfg):
-        marked = [key for key in ("dataset", "out_dir") if "#" in getattr(cfg, key)]
-        if marked:
+        refused = [key for key in ("dataset", "out_dir") if unreadable(getattr(cfg, key))]
+        if refused:
             # the first offending key in file order is the one named
-            with pytest.raises(ValueError, match=f"config key '{marked[0]}' cannot hold '#'"):
+            with pytest.raises(ValueError, match=f"config key '{refused[0]}' cannot hold"):
                 serialize_config(cfg)
             return
         text = serialize_config(cfg)

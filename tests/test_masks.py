@@ -851,6 +851,14 @@ class TestTransposableMask:
             assert (approx <= exact + 1e-12).all()
             assert (approx >= 0.5 * exact - 1e-12).all()
 
+    def test_method_given_by_its_value(self):
+        w = np.random.default_rng(0).normal(size=(8, 8))
+        exact = transposable_mask(w, P24, TransposableMethod.EXACT).bits
+        assert not np.array_equal(exact, transposable_mask(w, P24, TransposableMethod.TWO_APPROX).bits)
+        assert np.array_equal(transposable_mask(w, P24, "exact").bits, exact)
+        with pytest.raises(ValueError, match="not a valid TransposableMethod"):
+            transposable_mask(w, P24, "optimal")
+
     def test_both_directions_valid(self):
         rng = np.random.default_rng(41)
         for method in TransposableMethod:
@@ -1019,6 +1027,12 @@ class TestMaskDiversity:
             mask_diversity(NmPattern(1, 32), MaskFamily.TRANSPOSABLE)
         with pytest.raises(ValueError, match="tile"):
             mask_diversity(P24, MaskFamily.TRANSPOSABLE, tile_rows=8)
+
+    def test_family_given_by_its_value(self):
+        assert mask_diversity(P24, "vanilla", 1) == 6
+        assert mask_diversity(P24, "transposable") == 90
+        with pytest.raises(ValueError, match="not a valid MaskFamily"):
+            mask_diversity(P24, "bimask", 1)
 
 
 class TestValidateMask:

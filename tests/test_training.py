@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nm_sparse_kit import training
 from nm_sparse_kit.data import DatasetHandle, DatasetKind
 from nm_sparse_kit.masks import BinarizationCriterion, backward_mask, forward_mask, transposable_mask
 from nm_sparse_kit.permute import count_eligible_blocks, search_permutation
@@ -78,6 +79,26 @@ class TestLayerConstruction:
         rng = np.random.default_rng(0)
         layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
         assert (layer.bwd_mask.bits <= layer.fwd_mask.bits[layer.perm]).all()
+
+    def test_strategy_given_by_its_value(self):
+        layer = SparseLinearLayer(np.random.default_rng(0).normal(size=(8, 8)), P24, "bimask")
+        assert layer.strategy is Strategy.BI_MASK
+        assert layer.bwd_mask is not None
+        with pytest.raises(ValueError, match="not a valid Strategy"):
+            SparseLinearLayer(np.zeros((8, 8)), P24, "bi-mask")
+
+    def test_forward_mask_is_replaced_only_by_a_refresh(self):
+        rng = np.random.default_rng(0)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.VANILLA)
+        built = layer.fwd_mask
+        with pytest.raises(AttributeError):
+            layer.fwd_mask = forward_mask(rng.normal(size=(8, 8)), P24)
+        assert layer.fwd_mask is built
+        layer.w = rng.normal(size=(8, 8))
+        refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert layer.fwd_mask is not built
+        assert np.array_equal(layer.fwd_mask.bits, forward_mask(layer.w, P24).bits)
+        assert np.array_equal(layer.masked_weights(), layer.fwd_mask.bits * layer.w)
 
 
 class TestSparseForward:
@@ -423,30 +444,31 @@ class TestRefreshAgainstOracle:
             assert np.array_equal(layer.w, w)
             assert np.array_equal(layer.masked_weights(), masked)
 
-    def test_train_takes_ownership_of_its_updated_weights(self):
-        # train() builds each update itself, so it stores that array without the setter's copy
-        rng = np.random.default_rng(27)
-        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
-        before = layer.masked_weights()
-        update = rng.normal(size=(8, 8))
-        layer._own_w(update)
-        assert layer.w is update
-        with pytest.raises(ValueError, match="read-only"):
-            layer.w[0, 0] = 1.0
-        assert layer.masked_weights() is not before
-        assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(update))
-
-    def test_masked_weights_check_assigned_weights(self):
-        # the setter stores what it is given; the mask product checks it
-        layer = SparseLinearLayer(np.random.default_rng(28).normal(size=(8, 8)), P24, Strategy.BI_MASK)
-        layer.w = np.ones((1, 8))
-        with pytest.raises(ValueError, match="does not match"):
-            layer.masked_weights()
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_masked_weights_check_assigned_weights(self, strategy):
+        # the setter checks what it is given, so the products take it as it is
+        layer = SparseLinearLayer(np.random.default_rng(28).normal(size=(8, 8)), P24, strategy)
+        kept = layer.w
+        with pytest.raises(ValueError, match="layer weights are"):
+            layer.w = np.ones((1, 8))
         bad = np.ones((8, 8))
         bad[3, 4] = np.nan
-        layer.w = bad
         with pytest.raises(ValueError, match="non-finite"):
-            layer.masked_weights()
+            layer.w = bad
+        assert layer.w is kept
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_assigned_weights_are_stored_as_float64(self, strategy):
+        rng = np.random.default_rng(29)
+        values = rng.normal(size=(8, 8))
+        layer = SparseLinearLayer(values.tolist(), P24, strategy)
+        assert layer.w.dtype == np.float64 and np.array_equal(layer.w, values)
+        single = rng.normal(size=(8, 8)).astype(np.float32)
+        layer.w = single
+        assert layer.w.dtype == np.float64 and np.array_equal(layer.w, single)
+        layer.w = values.tolist()
+        assert layer.w.dtype == np.float64 and np.array_equal(layer.w, values)
+        assert np.array_equal(sparse_forward(np.eye(8), layer), layer.masked_weights())
 
 
 def train_oracle(layers, data, config, criterion):
@@ -621,6 +643,31 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="diverged") as err:
             train(layers, data, cfg)
         assert err.value.iteration == iteration
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize(
+        "dims, overrides",
+        [([8, 8, 4], dict(peak_lr=1e25)), ([8, 4], dict(peak_lr=1e100, weight_decay=1.0))],
+        ids=["hidden", "single-layer"],
+    )
+    def test_diverged_layers_keep_their_last_finite_weights(self, dims, overrides, strategy, monkeypatch):
+        # in both cases no layer takes an update in the iteration that diverges,
+        # so each still holds the weights its last refresh read
+        seen = {}
+
+        def recording_refresh(layer, *args):
+            seen[id(layer)] = layer.w
+            return refresh_masks(layer, *args)
+
+        monkeypatch.setattr(training, "refresh_masks", recording_refresh)
+        cfg = TrainConfig(epochs=5, batch_size=16, delta_t=10**9, warmup_epochs=0,
+                          momentum=0.9, seed=0, **overrides)
+        layers = init_layers(dims, P24, strategy, seed=0)
+        with pytest.raises(DivergenceError):
+            train(layers, blob_data(np.random.default_rng(22)), cfg)
+        for layer in layers:
+            assert layer.w is seen[id(layer)]
+            assert np.isfinite(layer.w).all()
 
     def test_metrics_row_count(self):
         rng = np.random.default_rng(23)
