@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .experiment import (
     ABLATION_LABELS,
     ExperimentConfig,
+    config_from_values,
     csv_row,
-    load_config,
     parse_config_value,
+    parse_config_values,
     run_ablation,
     run_experiment,
     serialize_config,
@@ -114,12 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _experiment_config(args) -> ExperimentConfig:
     if not args.config and not (args.strategy and args.pattern):
         raise UsageError("without --config, both --strategy and --pattern are required")
-    base = load_config(args.config) if args.config else None
+    values = {}
+    if args.config:
+        with open(args.config) as fh:
+            values = parse_config_values(fh.read())
     flags = {"strategy": args.strategy, "pattern": args.pattern, "dataset": args.dataset, "out_dir": args.out}
-    overrides = {key: parse_config_value(key, text) for key, text in flags.items() if text}
-    cfg = replace(base, **overrides) if args.config else ExperimentConfig(**overrides)
-    seed = _resolve_seed(args.seed, cfg.train.seed if args.config else None)
-    cfg = replace(cfg, train=replace(cfg.train, seed=seed))
+    values.update((key, parse_config_value(key, text)) for key, text in flags.items() if text)
+    # the environment is read only when neither the flag nor the file gives a seed
+    values["seed"] = _resolve_seed(args.seed, values.get("seed"))
+    cfg = config_from_values(values)
     try:
         serialize_config(cfg)
     except ValueError as exc:

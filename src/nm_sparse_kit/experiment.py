@@ -105,7 +105,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config_values(text: str) -> dict:
+    """The typed value of each key that a config text declares."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,11 +119,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         values[key] = parse_config_value(key, value)
+    return values
+
+
+def config_from_values(values: dict) -> ExperimentConfig:
+    """The config of typed key values, with defaults for the keys left out."""
     if "strategy" not in values or "pattern" not in values:
         raise ValueError("config must declare at least 'strategy' and 'pattern'")
-    train_values = {k: values.pop(k) for k in list(values) if k in _TRAIN_KEYS}
-    cfg = ExperimentConfig(**values)
+    train_values = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
+    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k not in _TRAIN_KEYS})
     return replace(cfg, train=replace(cfg.train, **train_values))
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    return config_from_values(parse_config_values(text))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -342,24 +342,43 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
 def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     """``_greedy_tiles``' masks, bit for bit, by one scan over each tile's sorted entries.
 
-    A stable argsort of -|w| visits each tile's entries in the rounds'
-    order: magnitude descending, ties to the lowest flat index. Step s then
-    keeps every tile's s-th entry whose row and column both hold fewer than
-    n ones, m * m vectorized steps in all. A tile's m row and m column
-    counters share one uint64, ``_counter_width(n)`` bits each (rows in the
-    low fields), and each top bit sets exactly when its budget fills.
+    ``abs_tiles`` must hold non-negative float64 values without -0.0
+    (``np.abs`` output), whose uint64 bit patterns order like the values.
+    Each entry's key is that pattern inverted, for descending order, with
+    its low ``(m * m - 1).bit_length()`` bits replaced by the entry's flat
+    tile index, so every key of a tile is distinct and one plain ``np.sort``
+    per tile gives the rounds' order: magnitude descending, ties to the
+    lowest flat index. That holds unless two entries of a tile differ only
+    in the replaced bits, where the index would decide a near tie. Adjacent
+    sorted keys that agree above those bits flag such tiles (exact ties
+    too), and the flagged tiles are ordered by a stable argsort of -|w|
+    instead.
 
+    Step s then keeps every tile's s-th entry whose row and column both hold
+    fewer than n ones, m * m vectorized steps in all. A tile's m row and m
+    column counters share one uint64, ``_counter_width(n)`` bits each (rows
+    in the low fields), and each top bit sets exactly when its budget fills.
     A step ANDs the counters with the entry's two top bits, shifts the
     entry's increment right by that result and adds it. The fields start at
     bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
     or more to 0: a blocked entry adds nothing, and its increment, read back
-    after the loop, is zero. Needs 7 - width + 2 * m * width <= 64 bits; it
-    beats the rounds when 2n >= m.
+    after the loop, is zero. The kept entries' index bits are ORed into one
+    word per tile (m * m <= 64 here) and unpacked into the mask. Needs
+    7 - width + 2 * m * width <= 64 bits; it beats the rounds when 2n >= m.
     """
-    tiles = abs_tiles.shape[0]
+    tiles, cells = abs_tiles.shape[0], m * m
     guard, one, start = _scan_tables(n, m)
+    low = np.uint64((1 << (cells - 1).bit_length()) - 1)
+    keys = np.bitwise_or(abs_tiles.reshape(tiles, cells).view(np.uint64), low)
+    keys ^= ~np.arange(cells, dtype=np.uint64)  # inverts the pattern, sets the index
+    keys.sort(axis=1)
+    flat = keys.reshape(-1)  # a cheap whole-call test first; it also pairs tile ends
+    if (flat[1:] ^ flat[:-1]).min() <= low:
+        near = np.flatnonzero(((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1))
+        keys[near] = np.argsort(-abs_tiles.reshape(tiles, cells)[near], axis=1, kind="stable")
     # step-major and C-contiguous, so that every step reads contiguous rows
-    order = np.ascontiguousarray(np.argsort(-abs_tiles.reshape(tiles, m * m), axis=1, kind="stable").T)
+    order = np.empty((cells, tiles), dtype=np.int64)
+    np.bitwise_and(keys.T, low, out=order.view(np.uint64))
     guards, ones = guard[order], one[order]  # (m * m, tiles)
     counters = np.full(tiles, start)
     hit = np.empty(tiles, dtype=np.uint64)
@@ -367,9 +386,11 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
         np.bitwise_and(counters, g, out=hit)
         np.right_shift(o, hit, out=o)
         counters += o
-    bits = np.zeros((m * m, tiles), dtype=np.uint8)
-    bits[order, np.arange(tiles)] = ones != 0
-    return bits.T.reshape(tiles, m, m)
+    np.minimum(ones, 1, out=ones)
+    np.left_shift(ones, order.view(np.uint64), out=ones)
+    kept = np.bitwise_or.reduce(ones, axis=0).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(kept.reshape(tiles, 8), axis=1, count=cells, bitorder="little")
+    return bits.reshape(tiles, m, m)
 
 
 # below every reachable path sum; sums involving it stay inside int64

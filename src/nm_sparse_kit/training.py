@@ -128,7 +128,10 @@ class SparseLinearLayer:
 
     For the bi-mask strategy the layer also carries the current row
     permutation and the backward mask generated from it; the backward mask is
-    indexed in the permuted row order. Only a refresh replaces ``fwd_mask``.
+    indexed in the permuted row order. Only a refresh replaces ``fwd_mask``
+    and ``bwd_mask``. ``perm`` stays assignable, and a backward product
+    raises ``StaleMaskError`` until a refresh rebuilds the backward mask for
+    the assigned permutation.
 
     Assigning ``w`` is the only way to store weights. On every strategy it
     checks them (``matrix()``, then the layer's shape), keeps a read-only
@@ -144,7 +147,7 @@ class SparseLinearLayer:
         self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
         self._fwd_mask: Mask | None = None
-        self.bwd_mask: Mask | None = None
+        self._bwd_mask: Mask | None = None
         self._bwd_perm: np.ndarray | None = None
         _build_masks(self, BinarizationCriterion.WEIGHT_MAGNITUDE)
 
@@ -163,6 +166,10 @@ class SparseLinearLayer:
     @property
     def fwd_mask(self) -> Mask | None:
         return self._fwd_mask
+
+    @property
+    def bwd_mask(self) -> Mask | None:
+        return self._bwd_mask
 
     def masked_weights(self) -> np.ndarray:
         """The effective forward weights W (x) B (plain W on the dense path).
@@ -272,7 +279,7 @@ def _build_masks(
             stats = RefreshStats(searched=True, search_seconds=report.elapsed)
         if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
             criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
-        layer.bwd_mask = backward_mask(
+        layer._bwd_mask = backward_mask(
             layer.w,
             layer.fwd_mask,
             layer.perm,

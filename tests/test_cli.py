@@ -145,7 +145,7 @@ class TestPermuteCommand:
         assert err.startswith("usage error: ") and "must be an integer" in err
 
 
-def write_config(path, out_dir, extra=""):
+def write_config(path, out_dir, extra="", seed_line="seed = 5\n"):
     path.write_text(
         "strategy = bimask\n"
         "pattern = 2:4\n"
@@ -160,7 +160,7 @@ def write_config(path, out_dir, extra=""):
         "peak_lr = 0.1\n"
         "momentum = 0.9\n"
         "weight_decay = 0.0001\n"
-        "seed = 5\n"
+        f"{seed_line}"
         "classes = 4\n"
         "dim = 8\n"
         "per_class = 16\n"
@@ -186,6 +186,16 @@ class TestTrainCommand:
         assert (out / "metrics.csv").exists()
         assert "vanilla" in capsys.readouterr().out
 
+    def test_flag_supplies_a_key_the_config_leaves_out(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        cfg.write_text(cfg.read_text().replace("pattern = 2:4\n", ""))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "'strategy' and 'pattern'" in capsys.readouterr().err
+        assert main(["train", "--config", str(cfg), "--pattern", "1:4"]) == 0
+        assert load_config(out / "config.txt").pattern == NmPattern(1, 4)
+
     @pytest.mark.parametrize("flags, recorded", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
     def test_seed_precedence_flag_config_env(self, tmp_path, capsys, monkeypatch, flags, recorded):
         monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")
@@ -194,6 +204,28 @@ class TestTrainCommand:
         write_config(cfg, out)  # seed = 5
         assert main(["train", "--config", str(cfg), *flags]) == 0
         assert load_config(out / "config.txt").train.seed == recorded
+
+    @pytest.mark.parametrize("flags, recorded", [([], 42), (["--seed", "7"], 7)], ids=["env", "flag"])
+    def test_seed_of_a_config_without_seed(self, tmp_path, capsys, monkeypatch, flags, recorded):
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out, seed_line="")
+        assert main(["train", "--config", str(cfg), *flags]) == 0
+        assert load_config(out / "config.txt").train.seed == recorded
+
+    def test_non_integer_env_seed_with_a_seedless_config_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "abc")
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out, seed_line="")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "must be an integer" in err
+        assert not out.exists()
+        write_config(cfg, out)  # seed = 5: the environment is not read
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert load_config(out / "config.txt").train.seed == 5
 
     @pytest.mark.parametrize("name", ["a\nb", "a\u2028b", "run "], ids=["newline", "separator", "space"])
     def test_unreadable_out_dir_exit_1(self, tmp_path, capsys, name):

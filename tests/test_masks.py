@@ -953,6 +953,124 @@ class TestTransposableMask:
             transposable_mask(np.zeros((6, 8)), P24)
 
 
+def index_mask(m):
+    """The low bits of a uint64 |w| pattern that ``_greedy_scan``'s keys replace by the tile index."""
+    return np.uint64((1 << (m * m - 1).bit_length()) - 1)
+
+
+def cleared(values, m):
+    """``values`` with their index bits cleared, so that adding fewer than 2**bits ulps stays in the bucket."""
+    return (values.view(np.uint64) & ~index_mask(m)).view(np.float64)
+
+
+def one_ulp_pairs(rng, tiles, m):
+    """Tiles of pairs (x, next float above x), x at the lower flat index, pairs at random places."""
+    cells = m * m
+    stack = np.empty((tiles, cells))
+    for t in range(tiles):
+        places = rng.permutation(cells)
+        x = cleared(rng.uniform(0.5, 2.0, size=cells // 2), m)
+        first, second = np.sort(places[: cells // 2 * 2].reshape(-1, 2), axis=1).T
+        stack[t, first], stack[t, second] = x, np.nextafter(x, np.inf)
+        stack[t, places[cells // 2 * 2 :]] = rng.uniform(0.5, 2.0, size=cells % 2)
+    return stack.reshape(tiles, m, m)
+
+
+def bucket_clusters(rng, tiles, m, spread):
+    """Tiles of a few clusters: a base with cleared index bits plus a random 0 .. spread-1 ulps each."""
+    cells = m * m
+    bases = cleared(rng.uniform(0.5, 2.0, size=(tiles, 3)), m)
+    stack = bases[np.arange(tiles)[:, None], rng.integers(0, 3, size=(tiles, cells))]
+    ulps = rng.integers(0, spread, size=(tiles, cells), dtype=np.uint64)
+    return (stack.view(np.uint64) + ulps).view(np.float64).reshape(tiles, m, m)
+
+
+def assert_scan_is_the_greedy(stack, pattern):
+    n, m = pattern.n, pattern.m
+    got = _greedy_scan(stack, n, m)
+    assert np.array_equal(got, _greedy_tiles(stack.copy(), n, m))
+    for tile, bits in zip(stack, got):
+        assert np.array_equal(bits, greedy_tile_oracle(tile, n))
+
+
+class TestScanNearTies:
+    """Entries of a tile whose bit patterns differ only in the index bits must still go by magnitude.
+
+    Exact ties sort right by index alone, so only these cases show whether
+    the kernel falls back to a stable argsort where the index bits hid a
+    difference.
+    """
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_larger_entry_one_ulp_above_a_lower_index_entry(self, pattern):
+        rng = np.random.default_rng(100 + pattern.m * 10 + pattern.n)
+        assert_scan_is_the_greedy(one_ulp_pairs(rng, 40, pattern.m), pattern)
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_clusters_spread_over_every_index_bit(self, pattern):
+        rng = np.random.default_rng(200 + pattern.m * 10 + pattern.n)
+        spread = int(index_mask(pattern.m)) + 1
+        assert_scan_is_the_greedy(bucket_clusters(rng, 40, pattern.m, spread), pattern)
+
+    def test_m8_entries_apart_only_in_the_sixth_index_bit(self):
+        # 4:8 keys carry 6 index bits; these pairs agree on the low five
+        rng = np.random.default_rng(7)
+        stack = one_ulp_pairs(rng, 40, 8).reshape(40, 64)
+        bits = stack.view(np.uint64)
+        bits[bits & np.uint64(1) == 1] += np.uint64(31)  # x + 1 ulp becomes x + 32 ulps
+        assert ((bits & index_mask(8)) % np.uint64(32) == 0).all()
+        assert_scan_is_the_greedy(stack.reshape(40, 8, 8), NmPattern(4, 8))
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_exact_ties_zeros_and_all_equal_tiles(self, pattern):
+        m, cells = pattern.m, pattern.m * pattern.m
+        rng = np.random.default_rng(300 + m * 10 + pattern.n)
+        x = cleared(np.array([1.25]), m)[0]
+        up = np.nextafter(x, np.inf)
+        stack = np.stack([
+            np.zeros(cells),
+            np.full(cells, x),
+            rng.choice([0.0, 5e-324], size=cells),  # zero and the smallest subnormal differ in bit 0
+            rng.choice([x, up], size=cells),
+            rng.choice([0.0, x, up, 2.0], size=cells),
+            np.where(np.arange(cells) % 2 == 0, up, x),
+        ]).reshape(-1, m, m)
+        assert_scan_is_the_greedy(stack, pattern)
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_a_stack_where_only_some_tiles_need_the_fallback(self, pattern):
+        m = pattern.m
+        rng = np.random.default_rng(400 + m * 10 + pattern.n)
+        plain = rng.uniform(0.5, 2.0, size=(60, m, m))
+        near = rng.choice(60, size=20, replace=False)
+        plain[near] = bucket_clusters(rng, 20, m, int(index_mask(m)) + 1)
+        assert_scan_is_the_greedy(plain, pattern)
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_a_near_tie_only_across_a_tile_boundary(self, pattern):
+        # one tile's smallest entry and the next tile's largest are 1 ulp
+        # apart: the whole-call test fires, but no tile needs the fallback
+        m, cells = pattern.m, pattern.m * pattern.m
+        rng = np.random.default_rng(500 + m * 10 + pattern.n)
+        x = cleared(np.array([1.0]), m)[0]
+        first = rng.uniform(1.5, 2.0, size=cells)
+        first[rng.integers(cells)] = np.nextafter(x, np.inf)
+        second = rng.uniform(0.5, 0.9, size=cells)
+        second[rng.integers(cells)] = x
+        assert_scan_is_the_greedy(np.stack([first, second]).reshape(2, m, m), pattern)
+
+    @pytest.mark.parametrize("pattern", [NmPattern(2, 4), NmPattern(4, 8), NmPattern(1, 2)], ids=str)
+    def test_signed_zeros_and_near_ties_through_the_mask(self, pattern):
+        m = pattern.m
+        rng = np.random.default_rng(600 + m)
+        w = one_ulp_pairs(rng, 12, m).reshape(3, 4, m, m).swapaxes(1, 2).reshape(3 * m, 4 * m)
+        w *= rng.choice([-1.0, 1.0], size=w.shape)
+        w[rng.random(w.shape) < 0.2] = -0.0
+        w[rng.random(w.shape) < 0.1] = 0.0
+        mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+        assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
+
+
 def transposable_count_enumerated(n, m):
     """m x m masks with exactly n ones per row and at most n per column, by enumeration."""
     count = 0

@@ -100,6 +100,27 @@ class TestLayerConstruction:
         assert np.array_equal(layer.fwd_mask.bits, forward_mask(layer.w, P24).bits)
         assert np.array_equal(layer.masked_weights(), layer.fwd_mask.bits * layer.w)
 
+    def test_backward_mask_is_replaced_only_by_a_refresh(self):
+        rng = np.random.default_rng(1)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        built = layer.bwd_mask
+        with pytest.raises(AttributeError):
+            layer.bwd_mask = forward_mask(rng.normal(size=(8, 8)), P24)
+        assert layer.bwd_mask is built
+        g = rng.normal(size=(8, 3))
+        backward_bimask(g, layer)
+        perm = rng.permutation(8)
+        layer.perm = perm  # still assignable, but leaves the backward mask stale
+        with pytest.raises(StaleMaskError, match="stale"):
+            backward_bimask(g, layer)
+        assert layer.bwd_mask is built
+        refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert layer.bwd_mask is not built
+        expected = backward_mask(layer.w, layer.fwd_mask, perm, P24, BinarizationCriterion.WEIGHT_MAGNITUDE)
+        assert np.array_equal(layer.bwd_mask.bits, expected.bits)
+        physical = (layer.bwd_mask.bits * layer.masked_weights()[perm]).T @ g[perm]
+        assert np.array_equal(backward_bimask(g, layer), physical)
+
 
 class TestSparseForward:
     def test_dense_path_matches_matmul(self):

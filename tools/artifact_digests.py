@@ -19,7 +19,13 @@ must print the same lines on both. Each line is ``sha256  name``:
 * ``TWO_APPROX`` transposable masks of fixed random, tie-heavy and
   zero-heavy 48 x 48 matrices at patterns on both sides of the greedy's
   kernel choice, including 5:8 to 8:8 and 8:16, whose counters do not fit
-  the scan's word and so take the argmax rounds though 2N >= M;
+  the scan's word and so take the argmax rounds though 2N >= M, and of a
+  fixed near-tie 48 x 48 matrix at the same patterns: in each 2 x 2 block,
+  which lies inside one tile at every even M, one row or column holds a
+  random |w| and its ``nextafter`` in random order, so the two differ only
+  in the scan's index bits, and the other two entries are random; a scan
+  that let the index decide such a pair changes the mask at every scan
+  pattern with N < M;
 * forward masks of the same matrices, and backward masks under all four
   criteria (fixed permutation, gradient and seed), at patterns on both
   sides of the top-N kernel choice: one argmax at 1:M, 1:2 included, and
@@ -142,6 +148,18 @@ def fixed_matrices(seed=0):
     return ("random", w), ("ties", np.round(w, 1)), ("zeros", zero_heavy)
 
 
+def near_tie_matrix(seed=5):
+    """Random |w| with one 1-ulp pair in a row or column of every 2 x 2 block, random signs."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.uniform(0.5, 2.0, size=(24, 24, 4))  # each 2 x 2 block flat, row-major
+    sides = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])[rng.integers(0, 4, size=(24, 24))]
+    sides = rng.permuted(sides, axis=2)
+    i, j = np.indices((24, 24))
+    blocks[i, j, sides[..., 1]] = np.nextafter(blocks[i, j, sides[..., 0]], np.inf)
+    w = blocks.reshape(24, 24, 2, 2).swapaxes(1, 2).reshape(48, 48)
+    return w * rng.choice((-1.0, 1.0), size=(48, 48))
+
+
 def mask_digest(mask) -> str:
     h = hashlib.sha256()
     add_array(h, mask.bits)
@@ -153,6 +171,13 @@ def transposable_digests(kit, method):
         for text in APPROX_PATTERNS:
             mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), method)
             yield mask_digest(mask), f"{method.value}-{kind}-{text.replace(':', 'of')}"
+
+
+def near_tie_digests(kit):
+    method = kit.TransposableMethod.TWO_APPROX
+    for text in APPROX_PATTERNS:
+        mask = kit.transposable_mask(near_tie_matrix(), kit.NmPattern.parse(text), method)
+        yield mask_digest(mask), f"{method.value}-near-ties-{text.replace(':', 'of')}"
 
 
 def top_n_digests(kit, seed=1):
@@ -236,7 +261,8 @@ def main(argv) -> int:
         try:
             methods = kit.TransposableMethod
             digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
-                                      transposable_digests(kit, methods.TWO_APPROX), top_n_digests(kit),
+                                      transposable_digests(kit, methods.TWO_APPROX), near_tie_digests(kit),
+                                      top_n_digests(kit),
                                       search_digests(kit), transposable_digests(kit, methods.EXACT),
                                       diversity_digests(kit), grid_digests(kit),
                                       extreme_sampling_digests(kit))
