@@ -89,6 +89,33 @@ class Mask:
         return self.bits * w
 
 
+def _built_mask(direction: MaskDirection, bits: np.ndarray, pattern: NmPattern, cls=Mask) -> Mask:
+    """A generator's result, without ``Mask.__post_init__``'s checks.
+
+    ``bits`` must already be C-contiguous uint8 holding only 0 and 1, in a
+    shape the direction accepts, as every generator here builds them. The
+    class is bound at definition, so rebinding the module's ``Mask`` name
+    (a wrapper that counts public constructions, say) leaves this path alone.
+    """
+    mask = object.__new__(cls)
+    mask.direction, mask.bits, mask.pattern = direction, bits, pattern
+    return mask
+
+
+def _check_shape(shape: tuple[int, int], m: int, direction: MaskDirection) -> None:
+    """Check that a matrix's dimensions split into the M-blocks of a ``direction`` mask.
+
+    Forward blocks run along rows and need cols divisible by M, backward
+    blocks need rows divisible by M, and transposable masks need both (rows
+    checked first). The generators and ``SparseLinearLayer`` share this rule.
+    """
+    rows, cols = shape
+    if direction is not MaskDirection.FORWARD:
+        check_divisible(rows, m, "matrix rows")
+    if direction is not MaskDirection.BACKWARD:
+        check_divisible(cols, m, "matrix cols")
+
+
 @dataclass(frozen=True)
 class BlockViolation:
     """One N:M block whose ones-count exceeds the budget.
@@ -161,14 +188,24 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     at 1:M and by pairwise ranks otherwise.
     """
     w = matrix(w)
+    _check_shape(w.shape, pattern.m, MaskDirection.FORWARD)
+    return _forward_mask(w, pattern)
+
+
+def _forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
+    """``forward_mask`` of a matrix that already passed its checks.
+
+    ``w`` must be a finite C-contiguous float64 matrix whose columns split
+    into blocks of M, as ``matrix()`` and ``_check_shape`` leave it.
+    """
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    check_divisible(cols, m, "matrix cols")
     # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
     # of the rows for _top_one, whose argmax reads each block contiguously
     keys = np.abs(w.reshape(-1, m).T, order="K" if n == 1 else "C")
-    bits = _top_n(keys, n).T
-    return Mask(MaskDirection.FORWARD, bits.reshape(rows, cols), pattern)
+    bits = _top_n(keys, n).T.reshape(rows, cols)
+    # a copy only where reshape could return a view: the ranks' transpose at cols == m
+    return _built_mask(MaskDirection.FORWARD, np.ascontiguousarray(bits), pattern)
 
 
 def _sampling_keys(stat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -229,19 +266,40 @@ def backward_mask(
     uint8 result is swapped back to permuted row order.
     """
     w = matrix(w)
-    n, m = pattern.n, pattern.m
-    rows, cols = w.shape
-    check_divisible(rows, m, "matrix rows")
+    _check_shape(w.shape, pattern.m, MaskDirection.BACKWARD)
     if fwd.direction is not MaskDirection.FORWARD:
         raise ValueError(f"backward_mask needs a forward mask, got {fwd.direction.value}")
     if fwd.shape != w.shape:
         raise ValueError(f"forward mask shape {fwd.shape} does not match matrix {w.shape}")
     if fwd.pattern != pattern:
         raise ValueError(f"forward mask pattern {fwd.pattern} does not match {pattern}")
+    rows = w.shape[0]
     perm = np.arange(rows) if perm is None else check_permutation(perm, rows)
     if criterion in SEEDED_CRITERIA and seed is None:
         raise ValueError(f"{criterion.value} criterion needs an explicit seed")
+    return _backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed)
 
+
+def _backward_mask(
+    w: np.ndarray,
+    fwd: Mask,
+    perm: np.ndarray,
+    pattern: NmPattern,
+    criterion: BinarizationCriterion = BinarizationCriterion.WEIGHT_MAGNITUDE,
+    *,
+    gradient: np.ndarray | None = None,
+    seed: int | None = None,
+) -> Mask:
+    """``backward_mask`` of arguments that already passed its checks.
+
+    ``w`` must be a finite C-contiguous float64 matrix whose rows split into
+    blocks of M; ``fwd`` a forward mask of its shape and pattern; ``perm`` an
+    int64 permutation of the rows, never None; ``seed`` given on a seeded
+    criterion. The gradient criterion's ``gradient`` is still checked here,
+    since no caller checks it before.
+    """
+    n, m = pattern.n, pattern.m
+    rows, cols = w.shape
     blocks = rows // m
     order = perm.reshape(blocks, m).T.ravel()
     fwd_slots = fwd.bits[order].reshape(m, blocks, cols)
@@ -264,7 +322,7 @@ def backward_mask(
 
     bits = np.empty((blocks, m, cols), dtype=np.uint8)
     np.multiply(_top_n(keys, n).swapaxes(0, 1), fwd_slots.swapaxes(0, 1), out=bits)
-    return Mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)
+    return _built_mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)
 
 
 def _counter_width(n: int) -> int:
@@ -517,10 +575,22 @@ def transposable_mask(
     """
     method = TransposableMethod(method)
     w = matrix(w)
+    _check_shape(w.shape, pattern.m, MaskDirection.TRANSPOSABLE)
+    return _transposable_mask(w, pattern, method)
+
+
+def _transposable_mask(
+    w: np.ndarray,
+    pattern: NmPattern,
+    method: TransposableMethod = TransposableMethod.TWO_APPROX,
+) -> Mask:
+    """``transposable_mask`` of arguments that already passed its checks.
+
+    ``w`` must be a finite C-contiguous float64 matrix whose rows and
+    columns both split into blocks of M, and ``method`` a member.
+    """
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
-    check_divisible(rows, m, "matrix rows")
-    check_divisible(cols, m, "matrix cols")
     grid = (rows // m, cols // m)
     tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)
     width = _counter_width(n)
@@ -531,7 +601,8 @@ def transposable_mask(
     else:
         tile_bits = _greedy_tiles(tiles, n, m)
     bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)
-    return Mask(MaskDirection.TRANSPOSABLE, bits, pattern)
+    # a copy only where reshape could return a view: one exact tile comes back transposed
+    return _built_mask(MaskDirection.TRANSPOSABLE, np.ascontiguousarray(bits), pattern)
 
 
 def kept_magnitude(w: np.ndarray, mask: Mask) -> float:

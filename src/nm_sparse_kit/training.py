@@ -16,15 +16,15 @@ from enum import Enum
 
 import numpy as np
 
-from .masks import (
-    SEEDED_CRITERIA,
-    BinarizationCriterion,
-    Mask,
-    backward_mask,
-    forward_mask,
-    transposable_mask,
-)
-from .permute import count_eligible_blocks, identity_permutation, search_permutation
+# The refresh dispatches through the names forward_mask, backward_mask,
+# transposable_mask and count_eligible_blocks to the unchecked entry points:
+# SparseLinearLayer has already checked everything they trust.
+from .masks import SEEDED_CRITERIA, BinarizationCriterion, Mask, MaskDirection, _check_shape
+from .masks import _backward_mask as backward_mask
+from .masks import _forward_mask as forward_mask
+from .masks import _transposable_mask as transposable_mask
+from .permute import _count_eligible as count_eligible_blocks
+from .permute import check_permutation, identity_permutation, search_permutation
 from .tensorops import NmPattern, matrix
 
 
@@ -35,6 +35,15 @@ class Strategy(Enum):
     VANILLA = "vanilla"
     TRANSPOSABLE = "transposable"
     BI_MASK = "bimask"
+
+
+# the masks each strategy's refresh builds, in build order
+_MASK_DIRECTIONS = {
+    Strategy.DENSE: (),
+    Strategy.VANILLA: (MaskDirection.FORWARD,),
+    Strategy.TRANSPOSABLE: (MaskDirection.TRANSPOSABLE,),
+    Strategy.BI_MASK: (MaskDirection.FORWARD, MaskDirection.BACKWARD),
+}
 
 
 class DivergenceError(RuntimeError):
@@ -129,20 +138,30 @@ class SparseLinearLayer:
     For the bi-mask strategy the layer also carries the current row
     permutation and the backward mask generated from it; the backward mask is
     indexed in the permuted row order. Only a refresh replaces ``fwd_mask``
-    and ``bwd_mask``. ``perm`` stays assignable, and a backward product
-    raises ``StaleMaskError`` until a refresh rebuilds the backward mask for
-    the assigned permutation.
+    and ``bwd_mask``. ``perm`` stays assignable, and after any assignment a
+    backward product raises ``StaleMaskError`` until a refresh rebuilds the
+    backward mask for the assigned permutation.
 
-    Assigning ``w`` is the only way to store weights. On every strategy it
-    checks them (``matrix()``, then the layer's shape), keeps a read-only
-    float64 copy and drops the masked weights and their permuted rows, which
-    are built at most once per refresh and shared by every product and count.
+    The layer checks its data once, where it enters, and its refresh runs
+    the mask kernels without checking again:
+    - assigning ``w`` checks the weights (``matrix()``, then the layer's
+      shape), keeps a read-only float64 copy and drops the masked weights and
+      their permuted rows, which are built at most once per refresh and
+      shared by every product and count;
+    - construction checks that the shape splits into the blocks of the
+      strategy's masks;
+    - assigning ``perm`` checks the permutation and keeps a read-only int64
+      copy.
+    ``prev_weight_grad`` is a plain attribute; the gradient criterion's
+    kernel checks it on each refresh that ranks it.
     """
 
     def __init__(self, w, pattern: NmPattern, strategy: Strategy, salt: int = 0):
         self.w = w
         self.pattern = pattern
         self.strategy = Strategy(strategy)
+        for direction in _MASK_DIRECTIONS[self.strategy]:
+            _check_shape(self.w.shape, pattern.m, direction)
         self.salt = salt
         self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
@@ -162,6 +181,14 @@ class SparseLinearLayer:
             raise ValueError(f"layer weights are {self._w.shape}, got {w.shape}")
         self._w = _read_only(w.copy())
         self._masked = self._masked_perm = None
+
+    @property
+    def perm(self) -> np.ndarray:
+        return self._perm
+
+    @perm.setter
+    def perm(self, value) -> None:
+        self._perm = _read_only(check_permutation(value, self.w.shape[0]).copy())
 
     @property
     def fwd_mask(self) -> Mask | None:
@@ -220,7 +247,7 @@ def backward_bimask(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
         raise ValueError(f"backward_bimask needs a bimask layer, got {layer.strategy.value}")
     if layer.w.shape[0] != g_y.shape[0]:
         raise ValueError(f"layer emits {layer.w.shape[0]}-dim outputs, got gradient {g_y.shape[0]}")
-    if not np.array_equal(layer.perm, layer._bwd_perm):
+    if layer.perm is not layer._bwd_perm:  # every assignment stores a new array
         raise StaleMaskError("backward mask is stale: permutation changed without a mask refresh")
     return (layer.bwd_mask.bits * layer._permuted_masked()).T @ g_y[layer.perm]
 
@@ -288,7 +315,7 @@ def _build_masks(
             gradient=layer.prev_weight_grad,
             seed=seeds[1],
         )
-        layer._bwd_perm = layer.perm.copy()
+        layer._bwd_perm = layer.perm
         stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
             layer._permuted_masked(), layer.pattern
         )
@@ -324,14 +351,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
     ``logits`` is (classes, batch); ``labels`` holds class indices.
     """
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=0, keepdims=True)
     batch = logits.shape[1]
-    loss = float(-np.mean(np.log(probs[labels, np.arange(batch)] + 1e-300)))
-    grad = probs.copy()
-    grad[labels, np.arange(batch)] -= 1.0
-    return loss, grad / batch
+    cols = np.arange(batch)
+    probs = logits - logits.max(axis=0, keepdims=True)  # a new array; the caller's stays
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0, keepdims=True)
+    picked = probs[labels, cols]
+    loss = float(-(np.log(picked + 1e-300).sum() / batch))  # np.mean's sum and divide
+    probs[labels, cols] = picked - 1.0  # the gradient, in the same buffer
+    probs /= batch
+    return loss, probs
 
 
 def lr_at(iteration: int, total_iterations: int, warmup_iterations: int, peak_lr: float) -> float:
@@ -451,10 +480,10 @@ def train(
                     v = velocities[i]
                     v *= config.momentum
                     v += g_w + config.weight_decay * layer.w
-                    update = layer.w - lr * v
-                    if not np.isfinite(update).all():
-                        raise DivergenceError(t)  # the layer keeps its last finite weights
-                    layer.w = update
+                    try:
+                        layer.w = layer.w - lr * v
+                    except ValueError:  # the setter refused a non-finite update
+                        raise DivergenceError(t) from None  # the layer keeps its last finite weights
 
             gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
             trace.steps.append(

@@ -1,10 +1,13 @@
 """The benchmark reaches the library through module bindings patched by name.
 
 ``perfbench/harness.py`` wraps attributes such as ``training.forward_mask``
-and ``training.count_eligible_blocks``. A refactor that drops one of those
-names would make the traced benchmark run crash, and one that stops calling
-through them would let masks escape the benchmark's checks. These tests read
-the harness as it is and never change it.
+and ``training.count_eligible_blocks``. These ``training.*`` names are the
+refresh's dispatch points: they may bind unchecked entry points (today
+``masks._forward_mask`` and the like), and the harness wraps whatever they
+bind. A refactor that drops one of those names would make the traced
+benchmark run crash, and one that stops calling through them would let
+masks escape the benchmark's checks. These tests read the harness as it is
+and never change it.
 """
 
 import importlib.util

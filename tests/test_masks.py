@@ -28,7 +28,9 @@ from nm_sparse_kit.masks import (
     validate_mask,
 )
 from nm_sparse_kit.masks import (
+    _backward_mask,
     _exact_tiles,
+    _forward_mask,
     _greedy_scan,
     _greedy_tiles,
     _sampling_keys,
@@ -37,7 +39,9 @@ from nm_sparse_kit.masks import (
     _top_n_ranks,
     _top_one,
     _transposable_count_dp,
+    _transposable_mask,
 )
+from nm_sparse_kit.permute import _count_eligible, count_eligible_blocks
 from nm_sparse_kit.tensorops import NmPattern
 
 P24 = NmPattern(2, 4)
@@ -1219,6 +1223,98 @@ class TestMaskConstruction:
         with pytest.raises(ValueError) as err:
             Mask(direction, np.zeros(shape, dtype=np.uint8), P24)
         assert str(err.value) == message
+
+
+@st.composite
+def entry_point_cases(draw):
+    """(weights, gradient, permutation, pattern) with up to 2 x 2 tiles, M up
+    to 16 and every N; entries mix ties, zeros and magnitudes up to 1e300."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(1, m))
+    shape = (m * draw(st.integers(1, 2)), m * draw(st.integers(1, 2)))
+    values = st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 1e300, -1e300]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    )
+    w = draw(hnp.arrays(np.float64, shape, elements=values))
+    gradient = draw(hnp.arrays(np.float64, shape, elements=values))
+    perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(shape[0])
+    return w, gradient, perm, NmPattern(n, m)
+
+
+class TestUncheckedEntryPoints:
+    """The unchecked entry points that training dispatches to give the public
+    functions' bits, and every generator hands ``_built_mask`` bits that the
+    checking ``Mask`` constructor would accept unchanged."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(entry_point_cases(), st.sampled_from(list(BinarizationCriterion)), st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_public_functions(self, case, criterion, seed):
+        w, gradient, perm, pattern = case
+        fwd = forward_mask(w, pattern)
+        pairs = [
+            (fwd, _forward_mask(w, pattern)),
+            (
+                backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed),
+                _backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed),
+            ),
+        ]
+        pairs += [(transposable_mask(w, pattern, t), _transposable_mask(w, pattern, t)) for t in TransposableMethod]
+        for public, unchecked in pairs:
+            assert (unchecked.direction, unchecked.pattern) == (public.direction, public.pattern)
+            assert np.array_equal(unchecked.bits, public.bits)
+            for bits in (public.bits, unchecked.bits):
+                assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+                assert np.isin(bits, (0, 1)).all()
+                assert Mask(public.direction, bits, pattern).bits is bits
+        masked = fwd.apply(w)[perm]
+        assert _count_eligible(masked, pattern) == count_eligible_blocks(masked, pattern)
+
+
+class TestPublicChecks:
+    """Rejections of the public generators that no other test covers; the
+    unchecked entry points trust their callers for all of them."""
+
+    @staticmethod
+    def inputs():
+        w = np.random.default_rng(0).normal(size=(4, 8))
+        nan = w.copy()
+        nan[1, 2] = np.nan
+        return w, nan, forward_mask(w, P24)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda w, nan, fwd: forward_mask(nan, P24), "non-finite"),
+            (lambda w, nan, fwd: forward_mask(np.zeros(8), P24), "2-D"),
+            (lambda w, nan, fwd: transposable_mask(nan, P24), "non-finite"),
+            (lambda w, nan, fwd: transposable_mask(np.zeros((8, 6)), P24), "^needs matrix cols divisible by 4, got 6$"),
+            (lambda w, nan, fwd: backward_mask(nan, fwd, None, P24), "non-finite"),
+            (
+                lambda w, nan, fwd: backward_mask(w, transposable_mask(w, P24), None, P24),
+                "needs a forward mask, got transposable",
+            ),
+            (lambda w, nan, fwd: backward_mask(w[:, :4], fwd, None, P24), r"forward mask shape \(4, 8\)"),
+            (lambda w, nan, fwd: backward_mask(w, fwd, None, NmPattern(1, 4)), "pattern 2:4 does not match 1:4"),
+            (
+                lambda w, nan, fwd: backward_mask(
+                    w, fwd, None, P24, BinarizationCriterion.GRADIENT_MAGNITUDE, gradient=nan
+                ),
+                "non-finite",
+            ),
+            (
+                lambda w, nan, fwd: backward_mask(
+                    w, fwd, None, P24, BinarizationCriterion.GRADIENT_MAGNITUDE, gradient=w[:, :4]
+                ),
+                r"gradient shape \(4, 4\)",
+            ),
+            (lambda w, nan, fwd: backward_mask(w, fwd, None, P24, "weight-magnitude"), "unknown criterion"),
+            (lambda w, nan, fwd: count_eligible_blocks(nan, P24), "non-finite"),
+        ],
+    )
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(*self.inputs())
 
 
 class TestKeptMagnitudes:

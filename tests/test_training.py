@@ -75,6 +75,58 @@ class TestLayerConstruction:
         with pytest.raises(ValueError, match="rows divisible"):
             SparseLinearLayer(np.zeros((6, 8)), P24, Strategy.BI_MASK)
 
+    @pytest.mark.parametrize(
+        "strategy, shape, message",
+        [
+            (Strategy.VANILLA, (4, 6), "needs matrix cols divisible by 4, got 6"),
+            (Strategy.BI_MASK, (6, 6), "needs matrix cols divisible by 4, got 6"),
+            (Strategy.BI_MASK, (6, 8), "needs matrix rows divisible by 4, got 6"),
+            (Strategy.TRANSPOSABLE, (6, 6), "needs matrix rows divisible by 4, got 6"),
+            (Strategy.TRANSPOSABLE, (8, 6), "needs matrix cols divisible by 4, got 6"),
+        ],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_shape_is_checked_once_at_construction(self, strategy, shape, message):
+        # the refresh's kernels trust the shape from then on
+        with pytest.raises(ValueError) as err:
+            SparseLinearLayer(np.zeros(shape), P24, strategy)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.arange(7), np.array([0, 1, 2, 3, 4, 5, 6, 6]), np.array([-1, 1, 2, 3, 4, 5, 6, 7]),
+         np.arange(8.0), None],
+        ids=["wrong-length", "duplicate", "negative", "float", "none"],
+    )
+    def test_perm_is_checked_at_assignment(self, bad):
+        layer = SparseLinearLayer(np.random.default_rng(3).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        kept = layer.perm
+        with pytest.raises(ValueError, match="^not a permutation of 8 row indices"):
+            layer.perm = bad
+        assert layer.perm is kept
+
+    def test_perm_is_a_read_only_int64_copy(self):
+        layer = SparseLinearLayer(np.random.default_rng(4).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        source = np.arange(8, dtype=np.int32)[::-1]
+        layer.perm = source
+        assert layer.perm.dtype == np.int64 and not np.shares_memory(layer.perm, source)
+        with pytest.raises(ValueError, match="read-only"):
+            layer.perm[0] = 1
+        source[:] = 0
+        assert np.array_equal(layer.perm, np.arange(8)[::-1])
+
+    def test_any_perm_assignment_leaves_the_backward_mask_stale(self):
+        # staleness is decided by identity, so equal values count as a change
+        rng = np.random.default_rng(5)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        g = rng.normal(size=(8, 2))
+        before = backward_bimask(g, layer)
+        layer.perm = layer.perm
+        with pytest.raises(StaleMaskError, match="stale"):
+            backward_bimask(g, layer)
+        refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert np.array_equal(backward_bimask(g, layer), before)
+
     def test_bimask_invariant_holds_at_construction(self):
         rng = np.random.default_rng(0)
         layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
@@ -595,6 +647,33 @@ class TestSoftmaxCrossEntropy:
                 down[i, j] -= step
                 fd = (softmax_cross_entropy(up, y)[0] - softmax_cross_entropy(down, y)[0]) / (2 * step)
                 assert fd == pytest.approx(g[i, j], abs=1e-8)
+
+
+def softmax_cross_entropy_oracle(logits, labels):
+    """The textbook form: new arrays at every step and np.mean for the loss."""
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=0, keepdims=True)
+    batch = logits.shape[1]
+    loss = float(-np.mean(np.log(probs[labels, np.arange(batch)] + 1e-300)))
+    grad = probs.copy()
+    grad[labels, np.arange(batch)] -= 1.0
+    return loss, grad / batch
+
+
+class TestSoftmaxInPlace:
+    @pytest.mark.parametrize("shape", [(16, 32), (4, 1), (1, 5), (10, 7)])
+    def test_bit_equal_to_the_textbook_form_and_leaves_logits_alone(self, shape):
+        rng = np.random.default_rng(19)
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            logits = rng.normal(size=shape) * scale
+            labels = rng.integers(shape[0], size=shape[1])
+            before = logits.copy()
+            loss, grad = softmax_cross_entropy(logits, labels)
+            want_loss, want_grad = softmax_cross_entropy_oracle(logits, labels)
+            assert np.array_equal(logits, before)
+            assert loss == want_loss or (math.isnan(loss) and math.isnan(want_loss))
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestTrain:
