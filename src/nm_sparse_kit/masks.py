@@ -365,9 +365,9 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     a row or column that reaches n ones, is set to -1 (below any |w|), so a
     tile is done once its maximum is negative. Each round adds a one to every
     tile still running, hence at most n * m rounds, each about a dozen
-    fancy-indexed calls. Few rounds make this the faster kernel when 2n < m;
-    it also serves every pattern whose counters do not fit ``_greedy_scan``'s
-    word, such as M = 8 with N >= 5 and M >= 9 with 2N >= M.
+    fancy-indexed calls. It serves the patterns ``_greedy_scan`` cannot:
+    M >= 9, whose m * m flat indices do not fit the scan's kept-bit word,
+    and 5:8 to 8:8, whose counters do not fit its counter word.
 
     Consumes its input: entries of ``abs_tiles`` are overwritten wherever
     its (tiles, m * m) reshape is a view, as for the C-ordered stack that
@@ -397,6 +397,13 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     return bits
 
 
+# Upper bound on the words of one (m * m, tiles) array of ``_greedy_scan``:
+# ``_transposable_mask`` passes it the tile stack in chunks of at most
+# _SCAN_WORDS // (m * m) tiles, so its scratch stays a few hundred KB
+# however many tiles a matrix has.
+_SCAN_WORDS = 1 << 15
+
+
 def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     """``_greedy_tiles``' masks, bit for bit, by one scan over each tile's sorted entries.
 
@@ -421,8 +428,12 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
     or more to 0: a blocked entry adds nothing, and its increment, read back
     after the loop, is zero. The kept entries' index bits are ORed into one
-    word per tile (m * m <= 64 here) and unpacked into the mask. Needs
-    7 - width + 2 * m * width <= 64 bits; it beats the rounds when 2n >= m.
+    word per tile and unpacked into the mask.
+
+    Needs m * m <= 64 for that word and 7 - width + 2 * m * width <= 64 for
+    the counters; the caller checks both (1:16's counters fit, its 256
+    indices do not). Its scratch is a few (m * m, tiles) arrays, so the
+    caller passes a large stack in chunks of ``_SCAN_WORDS`` words.
     """
     tiles, cells = abs_tiles.shape[0], m * m
     guard, one, start = _scan_tables(n, m)
@@ -566,11 +577,13 @@ def transposable_mask(
     greedily inserts entries by descending magnitude (ties to the lowest
     row-major index in the tile) and is guaranteed at least half the exact
     tile optimum. Two kernels give the same greedy bit for bit, chosen from
-    (N, M) alone: when 2N >= M and the tile's 2M counters, from bit 7 - width
-    up, fit one uint64, one scan of M * M vectorized steps over the sorted
-    entries, each an AND, a shift and an add of counter words
-    (``_greedy_scan``); otherwise at most N * M argmax rounds
-    (``_greedy_tiles``), which are fewer when N is small against M.
+    (N, M) alone: when M <= 8 (a tile's M * M kept bits fit one uint64) and
+    the tile's 2M counters, from bit 7 - width up, fit one uint64 too, that
+    is every N at M <= 7 and 1:8 to 4:8, one scan of M * M vectorized steps
+    over the sorted entries, each an AND, a shift and an add of counter
+    words (``_greedy_scan``, over chunks of the stack of at most
+    ``_SCAN_WORDS`` words per array); otherwise, at 5:8 to 8:8 and every
+    M >= 9, at most N * M argmax rounds (``_greedy_tiles``).
     ``method`` may be a member or its value; anything else raises ValueError.
     """
     method = TransposableMethod(method)
@@ -596,8 +609,10 @@ def _transposable_mask(
     width = _counter_width(n)
     if method is TransposableMethod.EXACT:
         tile_bits = _exact_tiles(tiles, n, m)
-    elif 2 * n >= m and 7 - width + 2 * m * width <= 64:
-        tile_bits = _greedy_scan(tiles, n, m)
+    elif m <= 8 and 7 - width + 2 * m * width <= 64:
+        step = _SCAN_WORDS // (m * m)
+        chunks = [_greedy_scan(tiles[i : i + step], n, m) for i in range(0, len(tiles), step)]
+        tile_bits = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)  # one chunk: no copy
     else:
         tile_bits = _greedy_tiles(tiles, n, m)
     bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)

@@ -649,9 +649,10 @@ GREEDY_PATTERNS = [
 SCAN_PATTERNS = [
     NmPattern.parse(p)
     for p in (
-        "1:2", "2:2", "2:3", "3:3", "2:4", "3:4", "4:4", "3:5", "4:5", "5:5",
-        "3:6", "4:6", "5:6", "6:6", "4:7", "5:7", "6:7", "7:7",
-        "4:8",
+        "1:2", "2:2", "1:3", "2:3", "3:3", "1:4", "2:4", "3:4", "4:4",
+        "1:5", "2:5", "3:5", "4:5", "5:5", "1:6", "2:6", "3:6", "4:6", "5:6", "6:6",
+        "1:7", "2:7", "3:7", "4:7", "5:7", "6:7", "7:7",
+        "1:8", "2:8", "3:8", "4:8",
     )
 ]
 
@@ -1072,6 +1073,88 @@ class TestScanNearTies:
         w[rng.random(w.shape) < 0.2] = -0.0
         w[rng.random(w.shape) < 0.1] = 0.0
         mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+        assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
+
+
+def stack_matrix(stack):
+    """An (m, tiles * m) matrix whose tile stack, over its one-row tile grid, is ``stack``."""
+    tiles, m, _ = stack.shape
+    return stack.transpose(1, 0, 2).reshape(m, tiles * m)
+
+
+def chunk_edge_stack(rng, tiles, m, chunk):
+    """Random |w| tiles whose chunks of ``chunk`` tiles each start and end with
+    a tie-heavy, an all-zero and a one-ulp-pair tile."""
+    stack = rng.uniform(0.5, 2.0, size=(tiles, m, m))
+    kinds = [np.round(rng.uniform(0.0, 2.0, size=(m, m))), np.zeros((m, m)), one_ulp_pairs(rng, 1, m)[0]]
+    for start in range(0, tiles, chunk):
+        stop = min(start + chunk, tiles)
+        for k, kind in enumerate(kinds):
+            stack[min(start + k, stop - 1)] = kind
+            stack[max(stop - 1 - k, start)] = kind
+    return stack
+
+
+CHUNK_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "2:8", "4:8")]
+
+
+class TestScanChunks:
+    """``transposable_mask`` hands ``_greedy_scan`` at most ``_SCAN_WORDS // m**2`` tiles at a time."""
+
+    @staticmethod
+    def recorded_scan_calls(monkeypatch):
+        calls = []
+
+        def record(abs_tiles, n, m):
+            calls.append(abs_tiles)
+            return _greedy_scan(abs_tiles, n, m)
+
+        monkeypatch.setattr(masks, "_greedy_scan", record)
+        return calls
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("pattern", CHUNK_PATTERNS, ids=str)
+    def test_multi_chunk_stack_is_the_greedy(self, monkeypatch, pattern, extra):
+        n, m = pattern.n, pattern.m
+        chunk = masks._SCAN_WORDS // (m * m)
+        calls = self.recorded_scan_calls(monkeypatch)
+        rng = np.random.default_rng(700 + m * 10 + n + extra)
+        stack = chunk_edge_stack(rng, 2 * chunk + extra, m, chunk)
+        w = stack_matrix(stack) * rng.choice([-1.0, 1.0], size=(m, len(stack) * m))
+        bits = tiles_of(transposable_mask(w, pattern, TransposableMethod.TWO_APPROX).bits, m)
+        assert [len(c) for c in calls] == {-1: [chunk, chunk - 1], 0: [chunk, chunk], 1: [chunk, chunk, 1]}[extra]
+        assert all(c.base is calls[0].base for c in calls)  # views of one stack, not copies
+        assert np.array_equal(np.concatenate(calls), stack)  # in order
+        assert np.array_equal(bits, _greedy_tiles(stack.copy(), n, m))
+        for tile, got in zip(stack, bits):
+            assert np.array_equal(got, greedy_tile_oracle(tile, n))
+
+    @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
+    def test_small_chunks_at_every_scan_pattern(self, monkeypatch, pattern):
+        n, m = pattern.n, pattern.m
+        monkeypatch.setattr(masks, "_SCAN_WORDS", 3 * m * m)
+        calls = self.recorded_scan_calls(monkeypatch)
+        rng = np.random.default_rng(750 + m * 10 + n)
+        stack = chunk_edge_stack(rng, 11, m, 3)
+        bits = tiles_of(transposable_mask(stack_matrix(stack), pattern, TransposableMethod.TWO_APPROX).bits, m)
+        assert [len(c) for c in calls] == [3, 3, 3, 2]
+        assert np.array_equal(bits, _greedy_tiles(stack.copy(), n, m))
+        for tile, got in zip(stack, bits):
+            assert np.array_equal(got, greedy_tile_oracle(tile, n))
+
+    @pytest.mark.parametrize(
+        "pattern, shape",  # None: exactly one full chunk
+        [(P24, (128, 32)), (P24, (16, 128)), (NmPattern(4, 8), (8, 8)), (P24, None), (NmPattern(2, 8), None)],
+        ids=str,
+    )
+    def test_a_stack_of_one_chunk_is_one_call(self, monkeypatch, pattern, shape):
+        m = pattern.m
+        shape = shape or (m, masks._SCAN_WORDS // (m * m) * m)
+        calls = self.recorded_scan_calls(monkeypatch)
+        w = np.random.default_rng(900 + m).normal(size=shape)
+        mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], tiles_of(np.abs(w), m))
         assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
 
 

@@ -11,22 +11,26 @@ must print the same lines on both. Each line is ``sha256  name``:
   at seeds 0 and 1 (10 epochs, delta_t 20, k 20, hidden layer 64), through
   ``run_experiment``: every file it writes, with ``summary.csv`` digested
   without the wall-clock ``search_seconds_total`` column;
-* one more transposable run at 4:8, seed 0, whose layers take the greedy
-  scan kernel rather than the argmax rounds of 2:8 and 1:16;
+* one more transposable run at 4:8, seed 0, a second greedy scan pattern
+  beside 2:8 (1:16 takes the argmax rounds);
 * the five configurations of the acceptance suite's trend criterion at
   seed 0: final accuracy, every ``StepMetrics``, and each layer's weights,
   permutation and masks;
 * ``TWO_APPROX`` transposable masks of fixed random, tie-heavy and
   zero-heavy 48 x 48 matrices at patterns on both sides of the greedy's
-  kernel choice, including 5:8 to 8:8 and 8:16, whose counters do not fit
-  the scan's word and so take the argmax rounds though 2N >= M, and of a
+  kernel choice: the scan at M <= 8 up to 4:8, and the argmax rounds at
+  5:8 to 8:8, whose counters do not fit the scan's word, and at 1:16 and
+  8:16, whose 256 tile indices do not fit its kept-bit word; and of a
   fixed near-tie 48 x 48 matrix at the same patterns: in each 2 x 2 block,
   which lies inside one tile at every even M, one row or column holds a
   random |w| and its ``nextafter`` in random order, so the two differ only
   in the scan's index bits, and the other two entries are random; a scan
   that let the index decide such a pair changes the mask at every scan
   pattern with N < M;
-* forward masks of the same matrices, and backward masks under all four
+* ``TWO_APPROX`` transposable masks of fixed random and tie-heavy 512 x 512
+  matrices at 1:4, 1:8, 2:8 and 4:8, whose tile stacks the scan takes in
+  several chunks (the 48 x 48 stacks above fit one);
+* forward masks of the 48 x 48 matrices, and backward masks under all four
   criteria (fixed permutation, gradient and seed), at patterns on both
   sides of the top-N kernel choice: one argmax at 1:M, 1:2 included, and
   pairwise ranks otherwise, (M-1):M and 4:4 (N = M) included;
@@ -71,6 +75,7 @@ SEARCH_PATTERNS = ("2:4", "2:8", "3:8", "1:16", "4:4")
 DIVERSITY_MAX_M = 12
 GRID_SHAPES = ((32, 96), (96, 32))
 GRID_PATTERNS = ("2:4", "2:8", "1:16")
+CHUNK_PATTERNS = ("1:4", "1:8", "2:8", "4:8")
 SAMPLING_SEEDS = (0, 1, 2)
 NEAR_MAX = 1.7e308
 
@@ -180,6 +185,16 @@ def near_tie_digests(kit):
         yield mask_digest(mask), f"{method.value}-near-ties-{text.replace(':', 'of')}"
 
 
+def chunk_digests(kit, seed=6):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(512, 512))
+    method = kit.TransposableMethod.TWO_APPROX
+    for kind, matrix in (("random", w), ("ties", np.round(w, 1))):
+        for text in CHUNK_PATTERNS:
+            mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), method)
+            yield mask_digest(mask), f"{method.value}-512x512-{kind}-{text.replace(':', 'of')}"
+
+
 def top_n_digests(kit, seed=1):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(48)
@@ -262,6 +277,7 @@ def main(argv) -> int:
             methods = kit.TransposableMethod
             digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
                                       transposable_digests(kit, methods.TWO_APPROX), near_tie_digests(kit),
+                                      chunk_digests(kit),
                                       top_n_digests(kit),
                                       search_digests(kit), transposable_digests(kit, methods.EXACT),
                                       diversity_digests(kit), grid_digests(kit),
