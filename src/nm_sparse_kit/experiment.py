@@ -47,6 +47,10 @@ class ExperimentConfig:
     per_class: int = 50
     spread: float = 0.35
 
+    def __post_init__(self):
+        self.strategy = Strategy(self.strategy)
+        self.criterion = BinarizationCriterion(self.criterion)
+
 
 _TRAIN_KEYS = get_type_hints(TrainConfig)
 # config.txt keys in file order with their types: the ExperimentConfig

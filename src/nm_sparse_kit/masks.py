@@ -63,18 +63,13 @@ class Mask:
     pattern: NmPattern
 
     def __post_init__(self):
+        self.direction = MaskDirection(self.direction)
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ValueError(f"mask bits must form a non-empty 2-D matrix, got shape {b.shape}")
-        # uint8, the dtype every generator emits, has no negatives to rule out
-        binary = b.max() <= 1 if b.dtype == np.uint8 else ((b == 0) | (b == 1)).all()
-        if not binary:
+        if not ((b == 0) | (b == 1)).all():
             raise ValueError("mask bits must all be 0 or 1")
-        rows, cols = b.shape
-        if self.direction is not MaskDirection.BACKWARD:
-            check_divisible(cols, self.pattern.m, f"{self.direction.value} mask cols")
-        if self.direction is not MaskDirection.FORWARD:
-            check_divisible(rows, self.pattern.m, f"{self.direction.value} mask rows")
+        _check_shape(b.shape, self.pattern.m, self.direction, f"{self.direction.value} mask")
         self.bits = np.ascontiguousarray(b, dtype=np.uint8)
 
     @property
@@ -102,18 +97,18 @@ def _built_mask(direction: MaskDirection, bits: np.ndarray, pattern: NmPattern, 
     return mask
 
 
-def _check_shape(shape: tuple[int, int], m: int, direction: MaskDirection) -> None:
-    """Check that a matrix's dimensions split into the M-blocks of a ``direction`` mask.
+def _check_shape(shape: tuple[int, int], m: int, direction: MaskDirection, what: str = "matrix") -> None:
+    """Check that a ``what``'s dimensions split into the M-blocks of a ``direction`` mask.
 
     Forward blocks run along rows and need cols divisible by M, backward
     blocks need rows divisible by M, and transposable masks need both (rows
-    checked first). The generators and ``SparseLinearLayer`` share this rule.
+    checked first). The generators, ``Mask`` and ``SparseLinearLayer`` share it.
     """
     rows, cols = shape
     if direction is not MaskDirection.FORWARD:
-        check_divisible(rows, m, "matrix rows")
+        check_divisible(rows, m, f"{what} rows")
     if direction is not MaskDirection.BACKWARD:
-        check_divisible(cols, m, "matrix cols")
+        check_divisible(cols, m, f"{what} cols")
 
 
 @dataclass(frozen=True)
@@ -397,11 +392,13 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     return bits
 
 
-# Upper bound on the words of one (m * m, tiles) array of ``_greedy_scan``:
-# ``_transposable_mask`` passes it the tile stack in chunks of at most
-# _SCAN_WORDS // (m * m) tiles, so its scratch stays a few hundred KB
-# however many tiles a matrix has.
-_SCAN_WORDS = 1 << 15
+# The chunk rule of ``_transposable_mask``: ``_greedy_scan`` and
+# ``_exact_tiles`` keep several (m * m, tiles)-sized scratch arrays, so they
+# take the tile stack in chunks of max(1, _CHUNK_WORDS // (m * m)) tiles,
+# and their scratch stays a few hundred KB however many tiles a matrix has.
+# ``_greedy_tiles`` takes the whole stack: it works in place with O(tiles)
+# scratch, and chunks would only repeat its per-round calls.
+_CHUNK_WORDS = 1 << 15
 
 
 def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -432,8 +429,7 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
 
     Needs m * m <= 64 for that word and 7 - width + 2 * m * width <= 64 for
     the counters; the caller checks both (1:16's counters fit, its 256
-    indices do not). Its scratch is a few (m * m, tiles) arrays, so the
-    caller passes a large stack in chunks of ``_SCAN_WORDS`` words.
+    indices do not).
     """
     tiles, cells = abs_tiles.shape[0], m * m
     guard, one, start = _scan_tables(n, m)
@@ -581,9 +577,8 @@ def transposable_mask(
     the tile's 2M counters, from bit 7 - width up, fit one uint64 too, that
     is every N at M <= 7 and 1:8 to 4:8, one scan of M * M vectorized steps
     over the sorted entries, each an AND, a shift and an add of counter
-    words (``_greedy_scan``, over chunks of the stack of at most
-    ``_SCAN_WORDS`` words per array); otherwise, at 5:8 to 8:8 and every
-    M >= 9, at most N * M argmax rounds (``_greedy_tiles``).
+    words (``_greedy_scan``); otherwise, at 5:8 to 8:8 and every M >= 9,
+    at most N * M argmax rounds (``_greedy_tiles``).
     ``method`` may be a member or its value; anything else raises ValueError.
     """
     method = TransposableMethod(method)
@@ -600,7 +595,9 @@ def _transposable_mask(
     """``transposable_mask`` of arguments that already passed its checks.
 
     ``w`` must be a finite C-contiguous float64 matrix whose rows and
-    columns both split into blocks of M, and ``method`` a member.
+    columns both split into blocks of M, and ``method`` a member. The scan
+    and the exact solver take the stack in chunks, the rounds whole (see
+    ``_CHUNK_WORDS``); every chunk's bits go into one C-ordered tile buffer.
     """
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
@@ -608,16 +605,16 @@ def _transposable_mask(
     tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)
     width = _counter_width(n)
     if method is TransposableMethod.EXACT:
-        tile_bits = _exact_tiles(tiles, n, m)
+        kernel, step = _exact_tiles, max(1, _CHUNK_WORDS // (m * m))
     elif m <= 8 and 7 - width + 2 * m * width <= 64:
-        step = _SCAN_WORDS // (m * m)
-        chunks = [_greedy_scan(tiles[i : i + step], n, m) for i in range(0, len(tiles), step)]
-        tile_bits = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)  # one chunk: no copy
+        kernel, step = _greedy_scan, _CHUNK_WORDS // (m * m)
     else:
-        tile_bits = _greedy_tiles(tiles, n, m)
+        kernel, step = _greedy_tiles, len(tiles)
+    tile_bits = np.empty(tiles.shape, dtype=np.uint8)
+    for i in range(0, len(tiles), step):
+        tile_bits[i : i + step] = kernel(tiles[i : i + step], n, m)
     bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)
-    # a copy only where reshape could return a view: one exact tile comes back transposed
-    return _built_mask(MaskDirection.TRANSPOSABLE, np.ascontiguousarray(bits), pattern)
+    return _built_mask(MaskDirection.TRANSPOSABLE, bits, pattern)
 
 
 def kept_magnitude(w: np.ndarray, mask: Mask) -> float:
@@ -629,10 +626,8 @@ def tile_kept_magnitudes(w: np.ndarray, mask: Mask, pattern: NmPattern) -> np.nd
     """Kept |w| per M x M tile, as a (rows/M, cols/M) grid."""
     kept = np.abs(mask.apply(w))
     m = pattern.m
-    rows, cols = kept.shape
-    check_divisible(rows, m, "matrix rows")
-    check_divisible(cols, m, "matrix cols")
-    return kept.reshape(rows // m, m, cols // m, m).sum(axis=(1, 3))
+    _check_shape(kept.shape, m, MaskDirection.TRANSPOSABLE)
+    return kept.reshape(-1, m, kept.shape[1] // m, m).sum(axis=(1, 3))
 
 
 def _transposable_count_dp(n: int, m: int) -> int:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -290,6 +292,24 @@ class TestRunExperiment:
     def test_dense_strategy_smoke(self, tmp_path):
         summary = run_experiment(small_config(tmp_path / "dense", strategy=Strategy.DENSE))
         assert summary.mean_grad_gap_l2 == 0.0
+
+    def test_enum_fields_given_by_their_values(self, tmp_path):
+        # coerced where they enter, so the run and its summary see members
+        cfg = replace(small_config(tmp_path / "values", strategy="bimask"), criterion="multinomial")
+        assert cfg.strategy is Strategy.BI_MASK
+        assert cfg.criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING
+        assert cfg == replace(small_config(tmp_path / "values"), criterion=BinarizationCriterion.MULTINOMIAL_SAMPLING)
+        summary = run_experiment(cfg)
+        assert (summary.strategy, summary.criterion) == ("bimask", "multinomial")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("strategy", "sparse", "not a valid Strategy"), ("criterion", "magnitude", "not a valid BinarizationCriterion")],
+    )
+    def test_unknown_enum_values_rejected_before_any_run(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(small_config(tmp_path / "bad"), **{field: value})
+        assert not (tmp_path / "bad").exists()
 
 
 class TestAblation:

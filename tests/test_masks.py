@@ -1095,29 +1095,30 @@ def chunk_edge_stack(rng, tiles, m, chunk):
     return stack
 
 
+def recorded_calls(monkeypatch, name):
+    """The tile stacks, as passed, of every call that ``transposable_mask`` makes to ``masks.<name>``."""
+    kernel, calls = getattr(masks, name), []
+
+    def record(abs_tiles, n, m):
+        calls.append(abs_tiles)
+        return kernel(abs_tiles, n, m)
+
+    monkeypatch.setattr(masks, name, record)
+    return calls
+
+
 CHUNK_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "2:8", "4:8")]
 
 
 class TestScanChunks:
-    """``transposable_mask`` hands ``_greedy_scan`` at most ``_SCAN_WORDS // m**2`` tiles at a time."""
-
-    @staticmethod
-    def recorded_scan_calls(monkeypatch):
-        calls = []
-
-        def record(abs_tiles, n, m):
-            calls.append(abs_tiles)
-            return _greedy_scan(abs_tiles, n, m)
-
-        monkeypatch.setattr(masks, "_greedy_scan", record)
-        return calls
+    """``transposable_mask`` hands ``_greedy_scan`` at most ``_CHUNK_WORDS // m**2`` tiles at a time."""
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     @pytest.mark.parametrize("pattern", CHUNK_PATTERNS, ids=str)
     def test_multi_chunk_stack_is_the_greedy(self, monkeypatch, pattern, extra):
         n, m = pattern.n, pattern.m
-        chunk = masks._SCAN_WORDS // (m * m)
-        calls = self.recorded_scan_calls(monkeypatch)
+        chunk = masks._CHUNK_WORDS // (m * m)
+        calls = recorded_calls(monkeypatch, "_greedy_scan")
         rng = np.random.default_rng(700 + m * 10 + n + extra)
         stack = chunk_edge_stack(rng, 2 * chunk + extra, m, chunk)
         w = stack_matrix(stack) * rng.choice([-1.0, 1.0], size=(m, len(stack) * m))
@@ -1132,8 +1133,8 @@ class TestScanChunks:
     @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
     def test_small_chunks_at_every_scan_pattern(self, monkeypatch, pattern):
         n, m = pattern.n, pattern.m
-        monkeypatch.setattr(masks, "_SCAN_WORDS", 3 * m * m)
-        calls = self.recorded_scan_calls(monkeypatch)
+        monkeypatch.setattr(masks, "_CHUNK_WORDS", 3 * m * m)
+        calls = recorded_calls(monkeypatch, "_greedy_scan")
         rng = np.random.default_rng(750 + m * 10 + n)
         stack = chunk_edge_stack(rng, 11, m, 3)
         bits = tiles_of(transposable_mask(stack_matrix(stack), pattern, TransposableMethod.TWO_APPROX).bits, m)
@@ -1149,13 +1150,63 @@ class TestScanChunks:
     )
     def test_a_stack_of_one_chunk_is_one_call(self, monkeypatch, pattern, shape):
         m = pattern.m
-        shape = shape or (m, masks._SCAN_WORDS // (m * m) * m)
-        calls = self.recorded_scan_calls(monkeypatch)
+        shape = shape or (m, masks._CHUNK_WORDS // (m * m) * m)
+        calls = recorded_calls(monkeypatch, "_greedy_scan")
         w = np.random.default_rng(900 + m).normal(size=shape)
         mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
         assert len(calls) == 1
         assert np.array_equal(calls[0], tiles_of(np.abs(w), m))
         assert np.array_equal(mask.bits, greedy_mask_oracle(w, pattern))
+
+
+class TestExactChunks:
+    """``transposable_mask`` hands ``_exact_tiles`` at most ``max(1, _CHUNK_WORDS // m**2)``
+    tiles at a time, and ``_greedy_tiles`` the whole stack in one call."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_multi_chunk_stack_is_the_exact_solve(self, monkeypatch, extra):
+        n, m = P24.n, P24.m
+        chunk = masks._CHUNK_WORDS // (m * m)
+        calls = recorded_calls(monkeypatch, "_exact_tiles")
+        rng = np.random.default_rng(800 + extra)
+        stack = chunk_edge_stack(rng, 2 * chunk + extra, m, chunk)
+        w = stack_matrix(stack) * rng.choice([-1.0, 1.0], size=(m, len(stack) * m))
+        bits = transposable_mask(w, P24, TransposableMethod.EXACT).bits
+        assert [len(c) for c in calls] == {-1: [chunk, chunk - 1], 0: [chunk, chunk], 1: [chunk, chunk, 1]}[extra]
+        assert all(c.base is calls[0].base for c in calls)  # views of one stack, not copies
+        assert np.array_equal(np.concatenate(calls), stack)  # in order
+        assert np.array_equal(tiles_of(bits, m), _exact_tiles(stack, n, m))
+        # ties leave several optima, so the oracle's first best pins the bits
+        # only of tiles with distinct magnitudes, and the kept |w| of every tile
+        oracle = exact_mask_oracle(w, P24)
+        distinct = np.array([np.unique(tile).size == m * m for tile in stack])
+        assert distinct.sum() > len(stack) // 2
+        assert np.array_equal(tiles_of(bits, m)[distinct], tiles_of(oracle, m)[distinct])
+        np.testing.assert_allclose(
+            (tiles_of(bits, m) * stack).sum(axis=(1, 2)), (tiles_of(oracle, m) * stack).sum(axis=(1, 2)), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("pattern", [P24, NmPattern(2, 8), NmPattern(1, 16)], ids=str)
+    def test_chunk_words_below_one_tile_give_one_tile_per_call(self, monkeypatch, pattern):
+        n, m = pattern.n, pattern.m
+        monkeypatch.setattr(masks, "_CHUNK_WORDS", m * m - 1)
+        calls = recorded_calls(monkeypatch, "_exact_tiles")
+        rng = np.random.default_rng(850 + m * 10 + n)
+        stack = chunk_edge_stack(rng, 5, m, 1)
+        bits = transposable_mask(stack_matrix(stack), pattern, TransposableMethod.EXACT).bits
+        assert [len(c) for c in calls] == [1] * 5
+        assert np.array_equal(tiles_of(bits, m), _exact_tiles(stack, n, m))
+
+    @pytest.mark.parametrize("pattern", [NmPattern(1, 16), NmPattern(5, 8)], ids=str)
+    def test_the_rounds_take_the_whole_stack_in_one_call(self, monkeypatch, pattern):
+        n, m = pattern.n, pattern.m
+        tiles = 2 * (masks._CHUNK_WORDS // (m * m)) + 1  # three chunks, were the rounds chunked
+        calls = recorded_calls(monkeypatch, "_greedy_tiles")
+        rng = np.random.default_rng(870 + m * 10 + n)
+        stack = chunk_edge_stack(rng, tiles, m, tiles)
+        bits = transposable_mask(stack_matrix(stack), pattern, TransposableMethod.TWO_APPROX).bits
+        assert [len(c) for c in calls] == [tiles]  # the rounds consume it, so only its size is left to compare
+        assert np.array_equal(tiles_of(bits, m), _greedy_tiles(stack.copy(), n, m))
 
 
 def transposable_count_enumerated(n, m):
@@ -1306,6 +1357,21 @@ class TestMaskConstruction:
         with pytest.raises(ValueError) as err:
             Mask(direction, np.zeros(shape, dtype=np.uint8), P24)
         assert str(err.value) == message
+
+    def test_a_shape_wrong_in_both_dims_names_the_rows(self):
+        # the rule of the generators: rows are checked first
+        with pytest.raises(ValueError) as err:
+            Mask(MaskDirection.TRANSPOSABLE, np.zeros((6, 6), dtype=np.uint8), P24)
+        assert str(err.value) == "needs transposable mask rows divisible by 4, got 6"
+
+    def test_direction_given_by_its_value(self):
+        bits = np.array([[1, 0, 1, 0]], dtype=np.uint8)
+        mask = Mask("forward", bits, P24)
+        assert mask.direction is MaskDirection.FORWARD
+        assert format_mask(mask).splitlines()[0] == "forward 2 4"
+        assert validate_mask(mask) == []
+        with pytest.raises(ValueError, match="not a valid MaskDirection"):
+            Mask("sideways", bits, P24)
 
 
 @st.composite

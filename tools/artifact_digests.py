@@ -44,11 +44,19 @@ must print the same lines on both. Each line is ``sha256  name``:
 * ``EXACT`` and ``TWO_APPROX`` transposable masks of random 32 x 96 and
   96 x 32 matrices at 2:4, 2:8 and 1:16, whose tile grids are not square,
   and one ``EXACT`` mask of a random 128 x 128 matrix at 2:4 (1 024 tiles);
+* ``EXACT`` transposable masks of fixed random and tie-heavy 256 x 512
+  matrices at 2:4 (8 192 tiles) and 1:16 (512 tiles), whose tile stacks
+  the exact solver takes in four chunks each;
 * ``MULTINOMIAL_SAMPLING`` backward masks at the top-N patterns, seeds 0 to
   2, of two fixed 48 x 48 matrices at the ends of the float range: one of
   |w| in [0.5, 1] x 1.7e308 with ~20% zeros, whose column-block totals
   overflow, and one mixing 1e300, 1e-30, 1e-320 and 0, where each entry's
   share of its block total is either normal or underflows to exactly 0.
+
+Every section after the trend criterion's is a fixed-matrix section: it
+calls no matmul, so its lines do not depend on the BLAS build, and
+``tests/test_golden_digests.py`` checks them against a committed fixture
+(``fixed_matrix_digests``). The training sections run only here.
 
 Runs write into a temporary directory under relative ``out_dir`` names, so
 ``config.txt`` does not depend on where the script runs.
@@ -76,6 +84,7 @@ DIVERSITY_MAX_M = 12
 GRID_SHAPES = ((32, 96), (96, 32))
 GRID_PATTERNS = ("2:4", "2:8", "1:16")
 CHUNK_PATTERNS = ("1:4", "1:8", "2:8", "4:8")
+EXACT_CHUNK_PATTERNS = ("2:4", "1:16")
 SAMPLING_SEEDS = (0, 1, 2)
 NEAR_MAX = 1.7e308
 
@@ -185,14 +194,13 @@ def near_tie_digests(kit):
         yield mask_digest(mask), f"{method.value}-near-ties-{text.replace(':', 'of')}"
 
 
-def chunk_digests(kit, seed=6):
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=(512, 512))
-    method = kit.TransposableMethod.TWO_APPROX
+def chunk_digests(kit, method, shape, patterns, seed):
+    """Masks of a random matrix and its tie-heavy copy, large enough to span several chunks."""
+    w = np.random.default_rng(seed).normal(size=shape)
     for kind, matrix in (("random", w), ("ties", np.round(w, 1))):
-        for text in CHUNK_PATTERNS:
+        for text in patterns:
             mask = kit.transposable_mask(matrix, kit.NmPattern.parse(text), method)
-            yield mask_digest(mask), f"{method.value}-512x512-{kind}-{text.replace(':', 'of')}"
+            yield mask_digest(mask), f"{method.value}-{shape[0]}x{shape[1]}-{kind}-{text.replace(':', 'of')}"
 
 
 def top_n_digests(kit, seed=1):
@@ -262,6 +270,17 @@ def extreme_sampling_digests(kit, seed=4):
                 yield mask_digest(bwd), f"backward-{criterion.value}-{kind}-{text.replace(':', 'of')}-s{s}"
 
 
+def fixed_matrix_digests(kit):
+    """Every section that trains nothing, in the order the tool prints them."""
+    methods = kit.TransposableMethod
+    return itertools.chain(transposable_digests(kit, methods.TWO_APPROX), near_tie_digests(kit),
+                           chunk_digests(kit, methods.TWO_APPROX, (512, 512), CHUNK_PATTERNS, seed=6),
+                           top_n_digests(kit), search_digests(kit), transposable_digests(kit, methods.EXACT),
+                           diversity_digests(kit), grid_digests(kit),
+                           chunk_digests(kit, methods.EXACT, (256, 512), EXACT_CHUNK_PATTERNS, seed=7),
+                           extreme_sampling_digests(kit))
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -274,14 +293,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            methods = kit.TransposableMethod
-            digests = itertools.chain(experiment_digests(kit), trend_digests(kit),
-                                      transposable_digests(kit, methods.TWO_APPROX), near_tie_digests(kit),
-                                      chunk_digests(kit),
-                                      top_n_digests(kit),
-                                      search_digests(kit), transposable_digests(kit, methods.EXACT),
-                                      diversity_digests(kit), grid_digests(kit),
-                                      extreme_sampling_digests(kit))
+            digests = itertools.chain(experiment_digests(kit), trend_digests(kit), fixed_matrix_digests(kit))
             for digest, name in digests:
                 print(f"{digest}  {name}")
         finally:
