@@ -110,8 +110,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config_values(text: str) -> dict:
-    """The typed value of each key that a config text declares."""
+    """The typed value of each key that a config text declares once."""
     values: dict = {}
+    declared: dict = {}  # key -> the line that declared it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,7 +123,9 @@ def parse_config_values(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = parse_config_value(key, value)
+        if key in declared:
+            raise ValueError(f"config line {lineno}: key {key!r} already declared on line {declared[key]}")
+        values[key], declared[key] = parse_config_value(key, value), lineno
     return values
 
 

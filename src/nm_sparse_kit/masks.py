@@ -22,6 +22,7 @@ from math import comb
 
 import numpy as np
 
+from . import tensorops
 from .permute import check_permutation
 from .tensorops import NmPattern, check_divisible, format_matrix, matrix, parse_matrix
 
@@ -198,9 +199,9 @@ def _forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
     # of the rows for _top_one, whose argmax reads each block contiguously
     keys = np.abs(w.reshape(-1, m).T, order="K" if n == 1 else "C")
-    bits = _top_n(keys, n).T.reshape(rows, cols)
-    # a copy only where reshape could return a view: the ranks' transpose at cols == m
-    return _built_mask(MaskDirection.FORWARD, np.ascontiguousarray(bits), pattern)
+    bits = np.empty((rows, cols), dtype=np.uint8)
+    bits.reshape(-1, m)[...] = _top_n(keys, n).T
+    return _built_mask(MaskDirection.FORWARD, bits, pattern)
 
 
 def _sampling_keys(stat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -320,27 +321,23 @@ def _backward_mask(
     return _built_mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)
 
 
-def _counter_width(n: int) -> int:
-    """Bits of one row or column counter in ``_greedy_scan``: ceil(log2 n) + 1.
-
-    A counter starts at 2**(width-1) - n, so its top bit sets exactly when
-    its row or column holds n ones.
-    """
-    return (n - 1).bit_length() + 1
-
-
 @cache
-def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64] | None:
     """``_greedy_scan``'s read-only word tables at n:m, built once per pattern.
 
-    The 2 * m counter fields start at bit 7 - width, which puts every top bit
-    at 2**6 or above; the caller checks that they fit one uint64. For each
-    flat tile index r * m + c: ``guard``, the top bits of row r's and column
-    c's counters, and ``one``, a one in each of those counters. Then
-    ``start``, the word with every counter at 2**(width-1) - n.
+    A counter is ceil(log2 n) + 1 bits wide and starts at 2**(width-1) - n,
+    so its top bit sets exactly when its row or column holds n ones. The
+    2 * m counter fields start at bit 7 - width, which puts every top bit at
+    2**6 or above. None when the scan cannot run n:m: the m * m kept bits or
+    the counters do not fit one uint64 (M >= 9, and 5:8 to 8:8). Otherwise,
+    for each flat tile index r * m + c: ``guard``, the top bits of row r's
+    and column c's counters, and ``one``, a one in each of those counters.
+    Then ``start``, the word with every counter at 2**(width-1) - n.
     """
-    width = _counter_width(n)
+    width = (n - 1).bit_length() + 1
     offset = 7 - width
+    if m * m > 64 or offset + 2 * m * width > 64:
+        return None
     field = np.uint64(1) << np.arange(offset, offset + 2 * m * width, width, dtype=np.uint64)
     top = field << np.uint64(width - 1)
     r, c = np.divmod(np.arange(m * m), m)
@@ -360,9 +357,8 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     a row or column that reaches n ones, is set to -1 (below any |w|), so a
     tile is done once its maximum is negative. Each round adds a one to every
     tile still running, hence at most n * m rounds, each about a dozen
-    fancy-indexed calls. It serves the patterns ``_greedy_scan`` cannot:
-    M >= 9, whose m * m flat indices do not fit the scan's kept-bit word,
-    and 5:8 to 8:8, whose counters do not fit its counter word.
+    fancy-indexed calls. It serves the patterns ``_greedy_scan`` cannot,
+    those whose ``_scan_tables`` is None.
 
     Consumes its input: entries of ``abs_tiles`` are overwritten wherever
     its (tiles, m * m) reshape is a view, as for the C-ordered stack that
@@ -392,15 +388,6 @@ def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     return bits
 
 
-# The chunk rule of ``_transposable_mask``: ``_greedy_scan`` and
-# ``_exact_tiles`` keep several (m * m, tiles)-sized scratch arrays, so they
-# take the tile stack in chunks of max(1, _CHUNK_WORDS // (m * m)) tiles,
-# and their scratch stays a few hundred KB however many tiles a matrix has.
-# ``_greedy_tiles`` takes the whole stack: it works in place with O(tiles)
-# scratch, and chunks would only repeat its per-round calls.
-_CHUNK_WORDS = 1 << 15
-
-
 def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     """``_greedy_tiles``' masks, bit for bit, by one scan over each tile's sorted entries.
 
@@ -418,18 +405,15 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
 
     Step s then keeps every tile's s-th entry whose row and column both hold
     fewer than n ones, m * m vectorized steps in all. A tile's m row and m
-    column counters share one uint64, ``_counter_width(n)`` bits each (rows
-    in the low fields), and each top bit sets exactly when its budget fills.
+    column counters share one uint64 (rows in the low fields; see
+    ``_scan_tables``), and each top bit sets exactly when its budget fills.
     A step ANDs the counters with the entry's two top bits, shifts the
     entry's increment right by that result and adds it. The fields start at
     bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
     or more to 0: a blocked entry adds nothing, and its increment, read back
     after the loop, is zero. The kept entries' index bits are ORed into one
-    word per tile and unpacked into the mask.
-
-    Needs m * m <= 64 for that word and 7 - width + 2 * m * width <= 64 for
-    the counters; the caller checks both (1:16's counters fit, its 256
-    indices do not).
+    word per tile and unpacked into the mask. Runs only the patterns whose
+    ``_scan_tables`` is not None.
     """
     tiles, cells = abs_tiles.shape[0], m * m
     guard, one, start = _scan_tables(n, m)
@@ -573,12 +557,11 @@ def transposable_mask(
     greedily inserts entries by descending magnitude (ties to the lowest
     row-major index in the tile) and is guaranteed at least half the exact
     tile optimum. Two kernels give the same greedy bit for bit, chosen from
-    (N, M) alone: when M <= 8 (a tile's M * M kept bits fit one uint64) and
-    the tile's 2M counters, from bit 7 - width up, fit one uint64 too, that
-    is every N at M <= 7 and 1:8 to 4:8, one scan of M * M vectorized steps
-    over the sorted entries, each an AND, a shift and an add of counter
-    words (``_greedy_scan``); otherwise, at 5:8 to 8:8 and every M >= 9,
-    at most N * M argmax rounds (``_greedy_tiles``).
+    (N, M) alone: where a tile's M * M kept bits and its 2M counters each
+    fit one uint64, every N at M <= 7 and 1:8 to 4:8, one scan of M * M
+    vectorized steps over the sorted entries, each an AND, a shift and an
+    add of counter words (``_greedy_scan``); otherwise, at 5:8 to 8:8 and
+    every M >= 9, at most N * M argmax rounds (``_greedy_tiles``).
     ``method`` may be a member or its value; anything else raises ValueError.
     """
     method = TransposableMethod(method)
@@ -597,17 +580,18 @@ def _transposable_mask(
     ``w`` must be a finite C-contiguous float64 matrix whose rows and
     columns both split into blocks of M, and ``method`` a member. The scan
     and the exact solver take the stack in chunks, the rounds whole (see
-    ``_CHUNK_WORDS``); every chunk's bits go into one C-ordered tile buffer.
+    ``tensorops.SCRATCH_WORDS``); every chunk's bits go into one C-ordered
+    tile buffer.
     """
     n, m = pattern.n, pattern.m
     rows, cols = w.shape
     grid = (rows // m, cols // m)
     tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)
-    width = _counter_width(n)
+    step = max(1, tensorops.SCRATCH_WORDS // (m * m))
     if method is TransposableMethod.EXACT:
-        kernel, step = _exact_tiles, max(1, _CHUNK_WORDS // (m * m))
-    elif m <= 8 and 7 - width + 2 * m * width <= 64:
-        kernel, step = _greedy_scan, _CHUNK_WORDS // (m * m)
+        kernel = _exact_tiles
+    elif _scan_tables(n, m) is not None:
+        kernel = _greedy_scan
     else:
         kernel, step = _greedy_tiles, len(tiles)
     tile_bits = np.empty(tiles.shape, dtype=np.uint8)

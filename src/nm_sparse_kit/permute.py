@@ -15,6 +15,7 @@ from math import factorial
 
 import numpy as np
 
+from . import tensorops
 from .tensorops import NmPattern, check_divisible, matrix
 
 # brute force enumerates rows! candidates; 8! = 40320 is the practical ceiling
@@ -69,11 +70,6 @@ def _count_eligible(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int, int]
     return int((nonzeros <= n).sum()), int(nonzeros.size)
 
 
-# Upper bound on the words of one bit plane, (candidates, rows / m, words),
-# so the scorer's scratch stays a few MB however many candidates are streamed.
-_PLANE_WORDS = 1 << 15
-
-
 def _pack_nonzeros(masked_w: np.ndarray) -> np.ndarray:
     """Non-zero pattern packed along columns: (rows, ceil(cols / 64)) uint64.
 
@@ -115,12 +111,12 @@ def _best_permutation(
 
     The incumbent comes first, then ``total`` candidates that ``draw(count)``
     returns as (count, rows) arrays. They are scored in batches sized to
-    ``_PLANE_WORDS``. Within a batch argmin keeps the earliest; a later batch
-    wins only with strictly fewer ineligible blocks.
+    ``tensorops.SCRATCH_WORDS``. Within a batch argmin keeps the earliest; a
+    later batch wins only with strictly fewer ineligible blocks.
     """
     packed = _pack_nonzeros(masked_w)
     rows, words = packed.shape
-    batch = max(1, _PLANE_WORDS // (rows // m * words))
+    batch = max(1, tensorops.SCRATCH_WORDS // (rows // m * words))
     perms, left = current[None], total
     best, best_over = None, None
     while True:

@@ -12,6 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Words per scratch array of the block kernels, read at call time. The greedy
+# scan and the exact transposable solver keep several (m * m, tiles) arrays,
+# so they take a tile stack in chunks of max(1, SCRATCH_WORDS // (m * m))
+# tiles; the permutation scorer keeps (candidates, rows / m, words) bit
+# planes, so it scores max(1, SCRATCH_WORDS // (rows / m * words)) candidates
+# at a time. Scratch then stays a few MB however large the input. The argmax
+# rounds take the whole stack: they work in place with O(tiles) scratch.
+SCRATCH_WORDS = 1 << 15
+
 
 def matrix(values) -> np.ndarray:
     """Validate ``values`` as a finite 2-D real matrix and return it as float64.

@@ -196,6 +196,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--pattern", "1:4"]) == 0
         assert load_config(out / "config.txt").pattern == NmPattern(1, 4)
 
+    def test_key_declared_twice_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out)
+        cfg.write_text(cfg.read_text() + "pattern = 1:4\n")
+        for flags in ([], ["--pattern", "1:4"]):  # a flag overrides a value, not a malformed file
+            assert main(["train", "--config", str(cfg), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "key 'pattern' already declared on line" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, recorded", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
     def test_seed_precedence_flag_config_env(self, tmp_path, capsys, monkeypatch, flags, recorded):
         monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")

@@ -66,6 +66,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="line 2.*mystery"):
             parse_config("strategy = vanilla\nmystery = 42\npattern = 2:4\n")
 
+    def test_key_declared_twice_rejected_with_both_lines(self):
+        text = "strategy = vanilla\npattern = 2:4\n# a comment\npattern = 1:4\n"
+        with pytest.raises(ValueError, match=r"^config line 4: key 'pattern' already declared on line 2$"):
+            parse_config(text)
+
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="strategy"):
             parse_config("pattern = 2:4\n")

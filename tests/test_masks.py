@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment, linprog
 
-from nm_sparse_kit import masks
+from nm_sparse_kit import masks, permute, tensorops
 from nm_sparse_kit.masks import (
     BinarizationCriterion,
     Mask,
@@ -909,6 +909,13 @@ class TestTransposableMask:
             assert not (guard & np.uint64(63)).any()
             assert (np.bitwise_count(guard) == 2).all()
 
+    def test_scan_tables_are_none_exactly_at_the_rounds_patterns(self):
+        # the rounds serve M >= 9 (m * m kept bits overflow a word) and 5:8 to
+        # 8:8 (sixteen 4-bit counters and their offset overflow it)
+        for m in range(2, 17):
+            for n in range(1, m + 1):
+                assert (_scan_tables(n, m) is None) == (m >= 9 or (m == 8 and n >= 5)), f"{n}:{m}"
+
     def test_scan_tables_are_cached_and_read_only(self):
         guard, one, _ = _scan_tables(2, 4)
         assert _scan_tables(2, 4)[0] is guard
@@ -1084,14 +1091,20 @@ def stack_matrix(stack):
 
 def chunk_edge_stack(rng, tiles, m, chunk):
     """Random |w| tiles whose chunks of ``chunk`` tiles each start and end with
-    a tie-heavy, an all-zero and a one-ulp-pair tile."""
+    a tie-heavy, an all-zero and a one-ulp-pair tile. Each placed tile but the
+    all-zero one is drawn afresh, so the tile that ends a chunk differs from
+    the one that starts the next."""
     stack = rng.uniform(0.5, 2.0, size=(tiles, m, m))
-    kinds = [np.round(rng.uniform(0.0, 2.0, size=(m, m))), np.zeros((m, m)), one_ulp_pairs(rng, 1, m)[0]]
+    kinds = [
+        lambda: np.round(rng.uniform(0.0, 2.0, size=(m, m))),
+        lambda: np.zeros((m, m)),
+        lambda: one_ulp_pairs(rng, 1, m)[0],
+    ]
     for start in range(0, tiles, chunk):
         stop = min(start + chunk, tiles)
         for k, kind in enumerate(kinds):
-            stack[min(start + k, stop - 1)] = kind
-            stack[max(stop - 1 - k, start)] = kind
+            stack[min(start + k, stop - 1)] = kind()
+            stack[max(stop - 1 - k, start)] = kind()
     return stack
 
 
@@ -1111,13 +1124,13 @@ CHUNK_PATTERNS = [NmPattern.parse(p) for p in ("1:4", "2:4", "2:8", "4:8")]
 
 
 class TestScanChunks:
-    """``transposable_mask`` hands ``_greedy_scan`` at most ``_CHUNK_WORDS // m**2`` tiles at a time."""
+    """``transposable_mask`` hands ``_greedy_scan`` at most ``SCRATCH_WORDS // m**2`` tiles at a time."""
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     @pytest.mark.parametrize("pattern", CHUNK_PATTERNS, ids=str)
     def test_multi_chunk_stack_is_the_greedy(self, monkeypatch, pattern, extra):
         n, m = pattern.n, pattern.m
-        chunk = masks._CHUNK_WORDS // (m * m)
+        chunk = tensorops.SCRATCH_WORDS // (m * m)
         calls = recorded_calls(monkeypatch, "_greedy_scan")
         rng = np.random.default_rng(700 + m * 10 + n + extra)
         stack = chunk_edge_stack(rng, 2 * chunk + extra, m, chunk)
@@ -1133,7 +1146,7 @@ class TestScanChunks:
     @pytest.mark.parametrize("pattern", SCAN_PATTERNS, ids=str)
     def test_small_chunks_at_every_scan_pattern(self, monkeypatch, pattern):
         n, m = pattern.n, pattern.m
-        monkeypatch.setattr(masks, "_CHUNK_WORDS", 3 * m * m)
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", 3 * m * m)
         calls = recorded_calls(monkeypatch, "_greedy_scan")
         rng = np.random.default_rng(750 + m * 10 + n)
         stack = chunk_edge_stack(rng, 11, m, 3)
@@ -1150,7 +1163,7 @@ class TestScanChunks:
     )
     def test_a_stack_of_one_chunk_is_one_call(self, monkeypatch, pattern, shape):
         m = pattern.m
-        shape = shape or (m, masks._CHUNK_WORDS // (m * m) * m)
+        shape = shape or (m, tensorops.SCRATCH_WORDS // (m * m) * m)
         calls = recorded_calls(monkeypatch, "_greedy_scan")
         w = np.random.default_rng(900 + m).normal(size=shape)
         mask = transposable_mask(w, pattern, TransposableMethod.TWO_APPROX)
@@ -1160,13 +1173,13 @@ class TestScanChunks:
 
 
 class TestExactChunks:
-    """``transposable_mask`` hands ``_exact_tiles`` at most ``max(1, _CHUNK_WORDS // m**2)``
+    """``transposable_mask`` hands ``_exact_tiles`` at most ``max(1, SCRATCH_WORDS // m**2)``
     tiles at a time, and ``_greedy_tiles`` the whole stack in one call."""
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_multi_chunk_stack_is_the_exact_solve(self, monkeypatch, extra):
         n, m = P24.n, P24.m
-        chunk = masks._CHUNK_WORDS // (m * m)
+        chunk = tensorops.SCRATCH_WORDS // (m * m)
         calls = recorded_calls(monkeypatch, "_exact_tiles")
         rng = np.random.default_rng(800 + extra)
         stack = chunk_edge_stack(rng, 2 * chunk + extra, m, chunk)
@@ -1189,7 +1202,7 @@ class TestExactChunks:
     @pytest.mark.parametrize("pattern", [P24, NmPattern(2, 8), NmPattern(1, 16)], ids=str)
     def test_chunk_words_below_one_tile_give_one_tile_per_call(self, monkeypatch, pattern):
         n, m = pattern.n, pattern.m
-        monkeypatch.setattr(masks, "_CHUNK_WORDS", m * m - 1)
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", m * m - 1)
         calls = recorded_calls(monkeypatch, "_exact_tiles")
         rng = np.random.default_rng(850 + m * 10 + n)
         stack = chunk_edge_stack(rng, 5, m, 1)
@@ -1200,13 +1213,43 @@ class TestExactChunks:
     @pytest.mark.parametrize("pattern", [NmPattern(1, 16), NmPattern(5, 8)], ids=str)
     def test_the_rounds_take_the_whole_stack_in_one_call(self, monkeypatch, pattern):
         n, m = pattern.n, pattern.m
-        tiles = 2 * (masks._CHUNK_WORDS // (m * m)) + 1  # three chunks, were the rounds chunked
+        tiles = 2 * (tensorops.SCRATCH_WORDS // (m * m)) + 1  # three chunks, were the rounds chunked
         calls = recorded_calls(monkeypatch, "_greedy_tiles")
         rng = np.random.default_rng(870 + m * 10 + n)
         stack = chunk_edge_stack(rng, tiles, m, tiles)
         bits = transposable_mask(stack_matrix(stack), pattern, TransposableMethod.TWO_APPROX).bits
         assert [len(c) for c in calls] == [tiles]  # the rounds consume it, so only its size is left to compare
         assert np.array_equal(tiles_of(bits, m), _greedy_tiles(stack.copy(), n, m))
+
+
+class TestScratchBudget:
+    """``tensorops.SCRATCH_WORDS``, read at call time, sizes the transposable
+    chunks and the permutation scorer's candidate batches alike."""
+
+    @staticmethod
+    def sizes(monkeypatch):
+        scan = recorded_calls(monkeypatch, "_greedy_scan")
+        exact = recorded_calls(monkeypatch, "_exact_tiles")
+        batches, score = [], permute._ineligible_counts
+
+        def record(packed, perms, n, m):
+            batches.append(len(perms))
+            return score(packed, perms, n, m)
+
+        monkeypatch.setattr(permute, "_ineligible_counts", record)
+        rng = np.random.default_rng(990)
+        w = rng.normal(size=(4, 28))  # seven 2:4 tiles
+        for method in TransposableMethod:
+            transposable_mask(w, P24, method)
+        # 16 x 70 at 2:4 is 4 blocks of 2 words, 8 words per candidate
+        permute.search_permutation(rng.normal(size=(16, 70)), P24, k=13, seed=0)
+        return [len(c) for c in scan], [len(c) for c in exact], batches
+
+    def test_one_patch_moves_the_chunks_and_the_batches(self, monkeypatch):
+        with monkeypatch.context() as patched:
+            assert self.sizes(patched) == ([7], [7], [14])
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", 48)  # three 4 x 4 tiles, six candidates
+        assert self.sizes(monkeypatch) == ([3, 3, 1], [3, 3, 1], [6, 6, 2])
 
 
 def transposable_count_enumerated(n, m):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nm_sparse_kit.permute as permute
+import nm_sparse_kit.tensorops as tensorops
 from nm_sparse_kit.experiment import csv_row
 from nm_sparse_kit.masks import forward_mask
 from nm_sparse_kit.permute import (
@@ -140,7 +141,7 @@ class TestPackedScorer:
         whole = search_permutation(w, P24, k=40, seed=3)
         exact = brute_force_best_permutation(small, NmPattern(2, 3))
         # two blocks of one word each: batches of 7 candidates
-        monkeypatch.setattr(permute, "_PLANE_WORDS", 14)
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", 14)
         batched = search_permutation(w, P24, k=40, seed=3)
         assert np.array_equal(batched.chosen, whole.chosen)
         assert batched.eligible_blocks == whole.eligible_blocks
@@ -164,7 +165,7 @@ class TestCandidateBatches:
     @pytest.mark.parametrize("plane_words", [8, 16, 24, 56, 1 << 15])
     def test_search_matches_sequential_oracle_at_any_batch_size(self, monkeypatch, plane_words):
         # 16 x 70 at 2:4 is 4 blocks of 2 words per candidate: batches of 1, 2, 3, 7 or all
-        monkeypatch.setattr(permute, "_PLANE_WORDS", plane_words)
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", plane_words)
         rng = np.random.default_rng(91)
         for seed in range(6):
             w = np.round(rng.normal(size=(16, 70))) * (rng.random((16, 70)) < 0.4)
