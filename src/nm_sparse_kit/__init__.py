@@ -8,7 +8,6 @@ instrumentation.
 
 from .data import (
     DatasetHandle,
-    DatasetKind,
     generate_synthetic,
     load_idx,
     load_idx_images,

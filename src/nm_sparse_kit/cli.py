@@ -23,6 +23,7 @@ from .experiment import (
     serialize_config,
 )
 from .masks import (
+    SEEDED_CRITERIA,
     BinarizationCriterion,
     MaskFamily,
     TransposableMethod,
@@ -133,7 +134,6 @@ def _experiment_config(args) -> ExperimentConfig:
 def _cmd_mask(args) -> int:
     pattern = NmPattern.parse(args.pattern)
     w = load_matrix(args.input)
-    seed = _resolve_seed(args.seed)
     family = Strategy(args.family)
     if family is Strategy.VANILLA:
         mask = forward_mask(w, pattern)
@@ -142,10 +142,10 @@ def _cmd_mask(args) -> int:
     else:
         criterion = BinarizationCriterion(args.criterion)
         gradient = load_matrix(args.gradient) if args.gradient else None
+        # the seed, and so the environment, is read only by a criterion that samples
+        seed = _resolve_seed(args.seed) if criterion in SEEDED_CRITERIA else None
         fwd = forward_mask(w, pattern)
-        mask = backward_mask(
-            w, fwd, None, pattern, criterion, gradient=gradient, seed=seed
-        )
+        mask = backward_mask(w, fwd, None, pattern, criterion, gradient=gradient, seed=seed)
     save_mask(args.output, mask)
     print(f"wrote {mask.direction.value} {pattern} mask to {args.output}")
     return 0

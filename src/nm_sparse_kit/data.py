@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -14,14 +13,8 @@ IDX_LABEL_MAGIC = 2049
 _IDX_CONTENT = {IDX_IMAGE_MAGIC: "image", IDX_LABEL_MAGIC: "label"}
 
 
-class DatasetKind(Enum):
-    SYNTHETIC_BLOBS = "synthetic"
-    IDX_PAIR = "idx"
-
-
 @dataclass
 class DatasetHandle:
-    kind: DatasetKind
     input_dim: int
     num_classes: int
     x_train: np.ndarray
@@ -72,7 +65,7 @@ def generate_synthetic(
 
     x_train, y_train = draw()
     x_test, y_test = draw()
-    return DatasetHandle(DatasetKind.SYNTHETIC_BLOBS, dim, classes, x_train, y_train, x_test, y_test)
+    return DatasetHandle(dim, classes, x_train, y_train, x_test, y_test)
 
 
 def _read_be32(data: bytes, offset: int, path, what: str) -> int:
@@ -141,7 +134,6 @@ def load_idx(images_path, labels_path) -> DatasetHandle:
         )
     flat = images.reshape(len(images), -1).astype(np.float64) / 255.0
     return DatasetHandle(
-        DatasetKind.IDX_PAIR,
         flat.shape[1],
         int(labels.max()) + 1 if len(labels) else 0,
         flat,

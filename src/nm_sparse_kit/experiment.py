@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import get_type_hints
@@ -110,22 +111,27 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config_values(text: str) -> dict:
-    """The typed value of each key that a config text declares once."""
+    """The typed value of each key that a config text declares once; errors name the line (and key)."""
     values: dict = {}
     declared: dict = {}  # key -> the line that declared it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in declared:
-            raise ValueError(f"config line {lineno}: key {key!r} already declared on line {declared[key]}")
-        values[key], declared[key] = parse_config_value(key, value), lineno
+        key, _, value = (part.strip() for part in line.partition("="))
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {raw!r}")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            if key in declared:
+                raise ValueError(f"key {key!r} already declared on line {declared[key]}")
+            try:
+                values[key], declared[key] = parse_config_value(key, value), lineno
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return values
 
 
@@ -165,10 +171,6 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetHandle:
         test_labels = os.path.join(root, "t10k-labels-idx1-ubyte")
         if os.path.exists(test_images) and os.path.exists(test_labels):
             test_set = load_idx(test_images, test_labels)
-            if test_set.input_dim != train_set.input_dim:
-                raise ValueError(
-                    f"test images are {test_set.input_dim}-dim but train images are {train_set.input_dim}-dim"
-                )
             return replace(
                 train_set,
                 num_classes=max(train_set.num_classes, test_set.num_classes),
@@ -216,11 +218,17 @@ class ExperimentSummary:
         )
 
 
+# every file name run_experiment writes into out_dir
+_RUN_FILES = re.compile(r"(config|layer\d+_(weights|forward_mask|backward_mask))\.txt|(metrics|summary)\.csv")
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Train one configuration, persist its artifacts, and summarize it.
 
     Writes metrics.csv, the final masked weights and masks (text formats),
-    the resolved config, and summary.csv into cfg.out_dir.
+    the resolved config, and summary.csv into cfg.out_dir. Once the dataset
+    and layers are built, it first removes every file of those names from
+    cfg.out_dir, so the directory never mixes two runs; other files stay.
     """
     serialize_config(cfg)  # a config that config.txt cannot record fails before training
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -230,6 +238,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         layers = init_layers(dims, cfg.pattern, cfg.strategy, cfg.train.seed)
     except ValueError as exc:
         raise ValueError(f"[{cfg.strategy.value} {cfg.pattern} -> {cfg.out_dir}] {exc}") from exc
+    for name in os.listdir(cfg.out_dir):
+        if _RUN_FILES.fullmatch(name):
+            os.remove(os.path.join(cfg.out_dir, name))
     layers, trace = train(layers, data, cfg.train, cfg.criterion)
 
     save_config(os.path.join(cfg.out_dir, "config.txt"), cfg)

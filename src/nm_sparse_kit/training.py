@@ -138,9 +138,10 @@ class SparseLinearLayer:
     For the bi-mask strategy the layer also carries the current row
     permutation and the backward mask generated from it; the backward mask is
     indexed in the permuted row order. Only a refresh replaces ``fwd_mask``
-    and ``bwd_mask``. ``perm`` stays assignable, and after any assignment a
-    backward product raises ``StaleMaskError`` until a refresh rebuilds the
-    backward mask for the assigned permutation.
+    and ``bwd_mask``, and their bits are read-only. ``perm`` stays
+    assignable, and after any assignment a backward product raises
+    ``StaleMaskError`` until a refresh rebuilds the backward mask for the
+    assigned permutation.
 
     The layer checks its data once, where it enters, and its refresh runs
     the mask kernels without checking again:
@@ -281,11 +282,9 @@ def _build_masks(
     a weight gradient.
     """
     old_masks = (layer.fwd_mask, layer.bwd_mask)
-    if layer.strategy is Strategy.DENSE:
-        layer._fwd_mask = None
-    elif layer.strategy is Strategy.TRANSPOSABLE:
+    if layer.strategy is Strategy.TRANSPOSABLE:
         layer._fwd_mask = transposable_mask(layer.w, layer.pattern)
-    else:
+    elif MaskDirection.FORWARD in _MASK_DIRECTIONS[layer.strategy]:
         layer._fwd_mask = forward_mask(layer.w, layer.pattern)
     layer._masked = layer._masked_perm = None
 
@@ -321,6 +320,8 @@ def _build_masks(
         )
 
     for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
+        if new is not None:
+            _read_only(new.bits)
         if old is not None:
             stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
     return stats
@@ -391,13 +392,17 @@ def init_layers(
     return layers
 
 
+def _layer_inputs(layers, x: np.ndarray) -> list[np.ndarray]:
+    """The input of each layer in the chain: ``x``, then each hidden rectified output."""
+    inputs = [x]
+    for layer in layers[:-1]:
+        inputs.append(relu(sparse_forward(inputs[-1], layer)))
+    return inputs
+
+
 def forward_pass(layers, x: np.ndarray) -> np.ndarray:
     """Masked forward through the chain, rectifier between layers."""
-    h = x
-    for i, layer in enumerate(layers):
-        z = sparse_forward(h, layer)
-        h = relu(z) if i < len(layers) - 1 else z
-    return h
+    return sparse_forward(_layer_inputs(layers, x)[-1], layers[-1])
 
 
 def evaluate_accuracy(layers, features: np.ndarray, labels: np.ndarray) -> float:
@@ -455,9 +460,7 @@ def train(
             gap_num = gap_den = 0.0
             # overflow here is the divergence guard's job, not a warning's
             with np.errstate(over="ignore", invalid="ignore"):
-                inputs = [x0]
-                for layer in layers[:-1]:
-                    inputs.append(relu(sparse_forward(inputs[-1], layer)))
+                inputs = _layer_inputs(layers, x0)
                 loss, g = softmax_cross_entropy(sparse_forward(inputs[-1], layers[-1]), y)
                 if not math.isfinite(loss):
                     raise DivergenceError(t)

@@ -68,6 +68,26 @@ class TestMaskCommand:
         assert rc == 2
         assert "gradient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, rc",
+        [
+            (["--family", "vanilla"], 0),
+            (["--family", "transposable"], 0),
+            (["--family", "bimask", "--criterion", "weight-magnitude"], 0),
+            (["--family", "bimask", "--criterion", "multinomial"], 1),
+        ],
+        ids=["vanilla", "transposable", "weight-magnitude", "multinomial"],
+    )
+    def test_env_seed_read_only_by_seeded_criteria(self, tmp_path, matrix_file, capsys, monkeypatch, flags, rc):
+        monkeypatch.setenv("NM_SPARSE_KIT_SEED", "abc")
+        out = tmp_path / "mask.txt"
+        assert main(["mask", "--pattern", "2:4", *flags, str(matrix_file), str(out)]) == rc
+        if rc:
+            assert "must be an integer" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert validate_mask(load_mask(out)) == []
+
     def test_runtime_error_exit_2(self, tmp_path):
         rc = main(["mask", "--pattern", "2:4", "--family", "vanilla",
                    str(tmp_path / "absent.txt"), str(tmp_path / "out.txt")])
@@ -207,6 +227,23 @@ class TestTrainCommand:
             assert err.startswith("error: ") and "key 'pattern' already declared on line" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new", [("epochs = 3", "epochs = 1.0"), ("criterion = weight-magnitude", "criterion = foo"),
+                     ("hidden_dims = 16", "hidden_dims = a")],
+        ids=["epochs", "criterion", "hidden_dims"],
+    )
+    def test_value_error_names_line_and_key_exit_2(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "run"
+        write_config(cfg, out, extra="criterion = weight-magnitude\n")
+        lines = cfg.read_text().splitlines()
+        lineno = lines.index(old) + 1
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["train", "--config", str(cfg)]) == 2
+        key = new.split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"error: config line {lineno}: key {key!r}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, recorded", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
     def test_seed_precedence_flag_config_env(self, tmp_path, capsys, monkeypatch, flags, recorded):
         monkeypatch.setenv("NM_SPARSE_KIT_SEED", "42")
@@ -301,6 +338,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "truncated" in err
+
+    def test_idx_test_split_of_another_width_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "idx"
+        root.mkdir()
+        save_idx_images(root / "train-images-idx3-ubyte", np.zeros((4, 2, 2), dtype=np.uint8))
+        save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1, 0, 1], dtype=np.uint8))
+        save_idx_images(root / "t10k-images-idx3-ubyte", np.zeros((2, 1, 5), dtype=np.uint8))
+        save_idx_labels(root / "t10k-labels-idx1-ubyte", np.array([0, 1], dtype=np.uint8))
+        rc = main(["train", "--strategy", "vanilla", "--pattern", "2:4", "--dataset", f"idx:{root}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test features have shape (2, 5), expected (2, 4)" in err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["train", "--nope"]) == 1

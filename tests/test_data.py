@@ -7,7 +7,6 @@ from nm_sparse_kit.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     DatasetHandle,
-    DatasetKind,
     generate_synthetic,
     load_idx,
     load_idx_images,
@@ -22,7 +21,6 @@ from nm_sparse_kit.tensorops import NmPattern
 class TestGenerateSynthetic:
     def test_shapes_and_balance(self):
         data = generate_synthetic(classes=3, dim=8, per_class=10, spread=0.1, seed=0)
-        assert data.kind is DatasetKind.SYNTHETIC_BLOBS
         assert data.x_train.shape == (30, 8)
         assert data.test_count == 30
         assert np.bincount(data.y_train).tolist() == [10, 10, 10]
@@ -76,7 +74,6 @@ class TestIdx:
     def test_round_trip_exact_pixels(self, tmp_path):
         images_path, labels_path, images, labels = make_fixture(tmp_path)
         data = load_idx(images_path, labels_path)
-        assert data.kind is DatasetKind.IDX_PAIR
         assert data.input_dim == 6
         expected = images.reshape(4, -1).astype(np.float64) / 255.0
         assert np.array_equal(data.x_train, expected)
@@ -137,9 +134,8 @@ class TestIdx:
 class TestDatasetHandle:
     def test_validates_feature_dim(self):
         with pytest.raises(ValueError, match="features"):
-            DatasetHandle(DatasetKind.SYNTHETIC_BLOBS, 4, 2, np.zeros((3, 5)), np.zeros(3, dtype=int))
+            DatasetHandle(4, 2, np.zeros((3, 5)), np.zeros(3, dtype=int))
 
     def test_validates_label_range(self):
         with pytest.raises(ValueError, match="labels"):
-            DatasetHandle(DatasetKind.SYNTHETIC_BLOBS, 4, 2, np.zeros((3, 4)),
-                          np.array([0, 1, 2]))
+            DatasetHandle(4, 2, np.zeros((3, 4)), np.array([0, 1, 2]))

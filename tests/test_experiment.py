@@ -18,10 +18,10 @@ from nm_sparse_kit.experiment import (
     save_config,
     serialize_config,
 )
-from nm_sparse_kit.data import DatasetKind, save_idx_images, save_idx_labels
+from nm_sparse_kit.data import save_idx_images, save_idx_labels
 from nm_sparse_kit.masks import BinarizationCriterion, load_mask, validate_mask
 from nm_sparse_kit.tensorops import NmPattern, load_matrix
-from nm_sparse_kit.training import Strategy, TrainConfig
+from nm_sparse_kit.training import DivergenceError, Strategy, TrainConfig
 
 
 # every line boundary of str.splitlines, listed independently of the library
@@ -70,6 +70,24 @@ class TestConfigRoundTrip:
         text = "strategy = vanilla\npattern = 2:4\n# a comment\npattern = 1:4\n"
         with pytest.raises(ValueError, match=r"^config line 4: key 'pattern' already declared on line 2$"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "line, key, message",
+        [
+            ("epochs = 1.0", "epochs", "invalid literal for int"),
+            ("criterion = foo", "criterion", "'foo' is not a valid BinarizationCriterion"),
+            ("hidden_dims = a", "hidden_dims", "invalid literal for int"),
+        ],
+    )
+    def test_value_error_names_line_and_key(self, line, key, message):
+        with pytest.raises(ValueError) as err:
+            parse_config(f"strategy = bimask\n\npattern = 2:4\n{line}\n")
+        assert str(err.value).startswith(f"config line 4: key {key!r}: ")
+        assert message in str(err.value)
+
+    def test_malformed_line_rejected_with_line(self):
+        with pytest.raises(ValueError, match=r"^config line 2: expected 'key = value', got 'epochs 3'$"):
+            parse_config("strategy = vanilla\nepochs 3\npattern = 2:4\n")
 
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -227,8 +245,18 @@ class TestBuildDataset:
         assert data.test_count == 2
         assert data.input_dim == 8
         assert data.num_classes == 4
-        assert data.kind is DatasetKind.IDX_PAIR
         assert data.y_test.tolist() == [1, 3]
+
+    def test_idx_test_split_of_another_width_rejected(self, tmp_path):
+        root = tmp_path / "mnist"
+        root.mkdir()
+        save_idx_images(root / "train-images-idx3-ubyte", np.zeros((2, 2, 2), dtype=np.uint8))
+        save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1], dtype=np.uint8))
+        save_idx_images(root / "t10k-images-idx3-ubyte", np.zeros((3, 1, 5), dtype=np.uint8))
+        save_idx_labels(root / "t10k-labels-idx1-ubyte", np.array([1, 0, 1], dtype=np.uint8))
+        cfg = ExperimentConfig(Strategy.VANILLA, NmPattern(2, 4), dataset=f"idx:{root}")
+        with pytest.raises(ValueError, match=r"^test features have shape \(3, 5\), expected \(3, 4\)$"):
+            build_dataset(cfg)
 
     def test_unknown_descriptor(self, tmp_path):
         cfg = ExperimentConfig(Strategy.VANILLA, NmPattern(2, 4), dataset="csv:wat")
@@ -315,6 +343,40 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             replace(small_config(tmp_path / "bad"), **{field: value})
         assert not (tmp_path / "bad").exists()
+
+
+class TestRunDirectory:
+    """A run directory holds the files of the last run that reached training, and no others."""
+
+    def test_strategy_switch_leaves_no_backward_masks(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(small_config(out))
+        assert (out / "layer1_backward_mask.txt").exists()
+        (out / "notes.md").write_text("kept\n")
+        (out / "layer0_weights.txt.bak").write_text("kept\n")
+        run_experiment(small_config(out, strategy=Strategy.VANILLA))
+        assert load_config(out / "config.txt").strategy is Strategy.VANILLA
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.txt", "layer0_forward_mask.txt", "layer0_weights.txt", "layer0_weights.txt.bak",
+            "layer1_forward_mask.txt", "layer1_weights.txt", "metrics.csv", "notes.md", "summary.csv",
+        ]
+        assert (out / "notes.md").read_text() == (out / "layer0_weights.txt.bak").read_text() == "kept\n"
+
+    def test_diverged_run_leaves_none_of_the_previous_run(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(small_config(out))
+        (out / "notes.md").write_text("kept\n")
+        with pytest.raises(DivergenceError):
+            run_experiment(small_config(out, peak_lr=1e25, warmup_epochs=0))
+        assert [p.name for p in out.iterdir()] == ["notes.md"]
+
+    def test_a_config_that_fails_before_training_keeps_the_previous_run(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(small_config(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError, match="descriptor"):
+            run_experiment(replace(small_config(out), dataset="csv:wat"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestAblation:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nm_sparse_kit import training
-from nm_sparse_kit.data import DatasetHandle, DatasetKind
+from nm_sparse_kit.data import DatasetHandle
 from nm_sparse_kit.masks import BinarizationCriterion, backward_mask, forward_mask, transposable_mask
 from nm_sparse_kit.permute import count_eligible_blocks, search_permutation
 from nm_sparse_kit.tensorops import NmPattern
@@ -55,9 +55,7 @@ def blob_data(rng, classes=4, dim=8, per_class=24):
     for c in range(classes):
         xs.append(centers[c] + 0.1 * rng.normal(size=(per_class, dim)))
         ys.append(np.full(per_class, c, dtype=np.int64))
-    return DatasetHandle(
-        DatasetKind.SYNTHETIC_BLOBS, dim, classes, np.concatenate(xs), np.concatenate(ys)
-    )
+    return DatasetHandle(dim, classes, np.concatenate(xs), np.concatenate(ys))
 
 
 class TestLayerConstruction:
@@ -172,6 +170,29 @@ class TestLayerConstruction:
         assert np.array_equal(layer.bwd_mask.bits, expected.bits)
         physical = (layer.bwd_mask.bits * layer.masked_weights()[perm]).T @ g[perm]
         assert np.array_equal(backward_bimask(g, layer), physical)
+
+    @pytest.mark.parametrize("strategy", [Strategy.VANILLA, Strategy.TRANSPOSABLE, Strategy.BI_MASK])
+    def test_masks_are_read_only_in_place(self, strategy):
+        rng = np.random.default_rng(6)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, strategy)
+        for refreshed in (False, True):
+            if refreshed:
+                layer.w = rng.normal(size=(8, 8))
+                refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, delta_t=1, k=4, seed=0))
+            masks = [m for m in (layer.fwd_mask, layer.bwd_mask) if m is not None]
+            assert len(masks) == (2 if strategy is Strategy.BI_MASK else 1)
+            for mask in masks:
+                kept = mask.bits.copy()
+                with pytest.raises(ValueError, match="read-only"):
+                    mask.bits[:] = 1
+                assert np.array_equal(mask.bits, kept)
+        assert np.array_equal(layer.masked_weights(), layer.fwd_mask.bits * layer.w)
+
+    def test_generated_masks_stay_writable(self):
+        w = np.random.default_rng(7).normal(size=(8, 8))
+        fwd = forward_mask(w, P24)
+        masks = [fwd, transposable_mask(w, P24), backward_mask(w, fwd, None, P24, BinarizationCriterion.WEIGHT_MAGNITUDE)]
+        assert all(mask.bits.flags.writeable for mask in masks)
 
 
 class TestSparseForward:
