@@ -8,6 +8,7 @@ flags and config files take precedence.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -171,6 +172,15 @@ def _cmd_diversity(args) -> int:
     tile_rows = args.tile_rows
     if family is MaskFamily.VANILLA and tile_rows is None:
         tile_rows = 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if family is MaskFamily.VANILLA and limit:
+        # the decimal length of C(M, N) ** tile_rows, known before computing it
+        digits = math.floor(tile_rows * math.log10(math.comb(pattern.m, pattern.n))) + 1
+        if digits > limit:
+            raise ValueError(
+                f"the vanilla count over {tile_rows} tile rows has {digits} digits, "
+                f"above Python's integer string limit of {limit} digits"
+            )
     print(mask_diversity(pattern, family, tile_rows=tile_rows))
     return 0
 
@@ -221,7 +231,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -322,28 +322,27 @@ def _backward_mask(
 
 
 @cache
-def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.uint64] | None:
-    """``_greedy_scan``'s read-only word tables at n:m, built once per pattern.
+def _scan_tables(n: int, m: int) -> tuple[np.ndarray, np.uint64, np.uint64] | None:
+    """``_greedy_scan``'s read-only word table at n:m, built once per pattern.
 
     A counter is ceil(log2 n) + 1 bits wide and starts at 2**(width-1) - n,
     so its top bit sets exactly when its row or column holds n ones. The
     2 * m counter fields start at bit 7 - width, which puts every top bit at
     2**6 or above. None when the scan cannot run n:m: the m * m kept bits or
-    the counters do not fit one uint64 (M >= 9, and 5:8 to 8:8). Otherwise,
-    for each flat tile index r * m + c: ``guard``, the top bits of row r's
-    and column c's counters, and ``one``, a one in each of those counters.
-    Then ``start``, the word with every counter at 2**(width-1) - n.
+    the counters do not fit one uint64 (M >= 9, and 5:8 to 8:8). Otherwise
+    ``one``, per flat tile index r * m + c a one in row r's and column c's
+    counters; ``shift`` = width - 1, which lifts both ones to their top
+    bits; and ``start``, the word with every counter at 2**(width-1) - n.
     """
     width = (n - 1).bit_length() + 1
     offset = 7 - width
     if m * m > 64 or offset + 2 * m * width > 64:
         return None
     field = np.uint64(1) << np.arange(offset, offset + 2 * m * width, width, dtype=np.uint64)
-    top = field << np.uint64(width - 1)
     r, c = np.divmod(np.arange(m * m), m)
-    guard, one = top[r] | top[m + c], field[r] + field[m + c]
-    guard.flags.writeable = one.flags.writeable = False
-    return guard, one, np.uint64((1 << (width - 1)) - n) * field.sum()
+    one = field[r] + field[m + c]
+    one.flags.writeable = False
+    return one, np.uint64(width - 1), np.uint64((1 << (width - 1)) - n) * field.sum()
 
 
 def _greedy_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -407,16 +406,16 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     fewer than n ones, m * m vectorized steps in all. A tile's m row and m
     column counters share one uint64 (rows in the low fields; see
     ``_scan_tables``), and each top bit sets exactly when its budget fills.
-    A step ANDs the counters with the entry's two top bits, shifts the
-    entry's increment right by that result and adds it. The fields start at
-    bit 7 - width, so a hit is 2**6 or more, and numpy shifts a uint64 by 64
-    or more to 0: a blocked entry adds nothing, and its increment, read back
-    after the loop, is zero. The kept entries' index bits are ORed into one
-    word per tile and unpacked into the mask. Runs only the patterns whose
-    ``_scan_tables`` is not None.
+    A step ANDs the counters with the entry's guard, its increment shifted
+    up to the two top bits, shifts the increment right by that result, in
+    place, and adds it. The fields start at bit 7 - width, so a hit is 2**6
+    or more, and numpy shifts a uint64 by 64 or more to 0: a blocked entry
+    adds nothing, and its increment, read back after the loop, is zero. The
+    kept entries' index bits are ORed into one word per tile and unpacked
+    into the mask. Runs only the patterns whose ``_scan_tables`` is not None.
     """
     tiles, cells = abs_tiles.shape[0], m * m
-    guard, one, start = _scan_tables(n, m)
+    one, shift, start = _scan_tables(n, m)
     low = np.uint64((1 << (cells - 1).bit_length()) - 1)
     keys = np.bitwise_or(abs_tiles.reshape(tiles, cells).view(np.uint64), low)
     keys ^= ~np.arange(cells, dtype=np.uint64)  # inverts the pattern, sets the index
@@ -428,7 +427,8 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
     # step-major and C-contiguous, so that every step reads contiguous rows
     order = np.empty((cells, tiles), dtype=np.int64)
     np.bitwise_and(keys.T, low, out=order.view(np.uint64))
-    guards, ones = guard[order], one[order]  # (m * m, tiles)
+    ones = one[order]  # (m * m, tiles)
+    guards = ones << shift
     counters = np.full(tiles, start)
     hit = np.empty(tiles, dtype=np.uint64)
     for g, o in zip(guards, ones):
@@ -446,14 +446,13 @@ def _greedy_scan(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
 _UNREACHED = np.int64(-(1 << 61))
 
 
-def _relax(dist: np.ndarray, pred: np.ndarray, best: np.ndarray, low: np.int64):
-    """Adopt each node's best coded key where its value strictly beats ``dist``.
-
-    Returns the new distances, the new predecessors and whether any changed.
-    """
+def _relax(dist: np.ndarray, pred: np.ndarray, best: np.ndarray, low: np.int64) -> bool:
+    """In place, adopt each node's best coded key where its value strictly beats ``dist``; True if any did."""
     value = best & ~low
     better = value > dist
-    return np.where(better, value, dist), np.where(better, low - (best & low), pred), better.any()
+    np.copyto(dist, value, where=better)
+    np.copyto(pred, low - (best & low), where=better)
+    return bool(better.any())
 
 
 def _exact_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -512,9 +511,8 @@ def _exact_tiles(abs_tiles: np.ndarray, n: int, m: int) -> np.ndarray:
         pred_r = np.full(dist_r.shape, -1)  # -1: the path starts at this row
         pred_c = np.zeros(dist_r.shape, dtype=np.int64)
         for _ in range(m):
-            dist_c, pred_c, _ = _relax(dist_c, pred_c, (dist_r[:, None] + forward).max(axis=0), low)
-            dist_r, pred_r, changed = _relax(dist_r, pred_r, (dist_c[:, None] + backward).max(axis=0), low)
-            if not changed:
+            _relax(dist_c, pred_c, (dist_r[:, None] + forward).max(axis=0), low)
+            if not _relax(dist_r, pred_r, (dist_c[:, None] + backward).max(axis=0), low):
                 break
         else:
             raise RuntimeError("exact transposable search found a positive cycle")

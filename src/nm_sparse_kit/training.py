@@ -384,6 +384,8 @@ def init_layers(
     """He-initialized layer chain for the dim sequence [in, hidden..., out]."""
     if len(dims) < 2:
         raise ValueError("need at least an input and an output dimension")
+    if min(dims) < 1:
+        raise ValueError(f"layer dimensions must be at least 1, got {list(dims)}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1417]))
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):

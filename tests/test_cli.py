@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ class TestDiversityCommand:
     def test_transposable_count(self, capsys):
         assert main(["diversity", "--pattern", "2:4", "--family", "transposable"]) == 0
         assert capsys.readouterr().out.strip() == "90"
+
+    def test_count_longer_than_the_int_string_limit_exit_2(self, capsys):
+        # 6**6000 has 4669 digits; Python refuses to print more than 4300
+        assert main(["diversity", "--pattern", "2:4", "--tile-rows", "6000"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the vanilla count over 6000 tile rows has 4669 digits, "
+            f"above Python's integer string limit of {sys.get_int_max_str_digits()} digits\n"
+        )
+
+    def test_huge_tile_rows_exit_2_before_computing(self, capsys):
+        start = time.perf_counter()
+        assert main(["diversity", "--pattern", "2:4", "--tile-rows", str(10**12)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "778151250384 digits" in capsys.readouterr().err
 
     def test_table(self, capsys):
         assert main(["diversity", "--table"]) == 0
@@ -338,6 +354,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "truncated" in err
+
+    def test_zero_pixel_idx_images_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "idx"
+        root.mkdir()
+        save_idx_images(root / "train-images-idx3-ubyte", np.zeros((4, 0, 0), dtype=np.uint8))
+        save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1, 0, 1], dtype=np.uint8))
+        rc = main(["train", "--strategy", "vanilla", "--pattern", "2:4", "--dataset", f"idx:{root}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layer dimensions must be at least 1, got [0, 64, 2]" in err
 
     def test_idx_test_split_of_another_width_exit_2(self, tmp_path, capsys):
         root = tmp_path / "idx"

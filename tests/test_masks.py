@@ -905,9 +905,22 @@ class TestTransposableMask:
         # so any hit shifts an increment by 64 or more; two set bits per
         # guard, a row's and a column's, show that no field fell off the word
         for p in SCAN_PATTERNS:
-            guard, _, _ = _scan_tables(p.n, p.m)
+            one, shift, _ = _scan_tables(p.n, p.m)
+            guard = one << shift
             assert not (guard & np.uint64(63)).any()
             assert (np.bitwise_count(guard) == 2).all()
+
+    def test_scan_guards_equal_the_or_of_the_two_top_bits(self):
+        # oracle: a guard built as row r's top bit OR column c's top bit, from
+        # the counter layout alone (counter k's top bit is bit 6 + k * width),
+        # is the increment word shifted up
+        for p in SCAN_PATTERNS:
+            n, m = p.n, p.m
+            one, shift, _ = _scan_tables(n, m)
+            width = (n - 1).bit_length() + 1
+            top = [1 << (6 + k * width) for k in range(2 * m)]
+            guard = [top[r] | top[m + c] for r in range(m) for c in range(m)]
+            assert (one << shift).tolist() == guard, str(p)
 
     def test_scan_tables_are_none_exactly_at_the_rounds_patterns(self):
         # the rounds serve M >= 9 (m * m kept bits overflow a word) and 5:8 to
@@ -917,8 +930,8 @@ class TestTransposableMask:
                 assert (_scan_tables(n, m) is None) == (m >= 9 or (m == 8 and n >= 5)), f"{n}:{m}"
 
     def test_scan_tables_are_cached_and_read_only(self):
-        guard, one, _ = _scan_tables(2, 4)
-        assert _scan_tables(2, 4)[0] is guard
+        one, _, _ = _scan_tables(2, 4)
+        assert _scan_tables(2, 4)[0] is one
         with pytest.raises(ValueError):
             one[0] = 0
 

@@ -73,6 +73,12 @@ class TestLayerConstruction:
         with pytest.raises(ValueError, match="rows divisible"):
             SparseLinearLayer(np.zeros((6, 8)), P24, Strategy.BI_MASK)
 
+    @pytest.mark.parametrize("dims", [[0, 4], [4, 0], [8, 0, 4], [-4, 4]], ids=str)
+    def test_init_layers_refuses_a_dimension_below_1(self, dims):
+        # a zero fan-in would divide by zero in the He scale
+        with pytest.raises(ValueError, match=r"layer dimensions must be at least 1, got \["):
+            init_layers(dims, P24, Strategy.DENSE, seed=0)
+
     @pytest.mark.parametrize(
         "strategy, shape, message",
         [
