@@ -88,9 +88,14 @@ def _load_idx(path, magic: int) -> np.ndarray:
     shape = tuple(_read_be32(data, 4 + 4 * i, path, "header") for i in range(magic & 0xFF))
     offset = 4 + 4 * len(shape)
     expected = offset + math.prod(shape)
-    if len(data) != expected:
+    if len(data) < expected:
         raise ValueError(
             f"{path}: truncated {_IDX_CONTENT[magic]} data: expected {expected} bytes, file has {len(data)}"
+        )
+    if len(data) > expected:
+        raise ValueError(
+            f"{path}: {_IDX_CONTENT[magic]} data too long: file has {len(data)} bytes, "
+            f"{len(data) - expected} more than the {expected} its header declares"
         )
     return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(shape)
 

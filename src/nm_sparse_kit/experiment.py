@@ -50,6 +50,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.strategy = Strategy(self.strategy)
+        if isinstance(self.pattern, str):
+            self.pattern = NmPattern.parse(self.pattern)
         self.criterion = BinarizationCriterion(self.criterion)
 
 
@@ -169,7 +171,7 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetHandle:
         )
         test_images = os.path.join(root, "t10k-images-idx3-ubyte")
         test_labels = os.path.join(root, "t10k-labels-idx1-ubyte")
-        if os.path.exists(test_images) and os.path.exists(test_labels):
+        if os.path.exists(test_images) or os.path.exists(test_labels):  # a lone file fails on its partner
             test_set = load_idx(test_images, test_labels)
             return replace(
                 train_set,

@@ -89,9 +89,10 @@ def _built_mask(direction: MaskDirection, bits: np.ndarray, pattern: NmPattern, 
     """A generator's result, without ``Mask.__post_init__``'s checks.
 
     ``bits`` must already be C-contiguous uint8 holding only 0 and 1, in a
-    shape the direction accepts, as every generator here builds them. The
-    class is bound at definition, so rebinding the module's ``Mask`` name
-    (a wrapper that counts public constructions, say) leaves this path alone.
+    shape the direction accepts, as every kernel here builds them after its
+    own ``_check_shape``. The class is bound at definition, so rebinding the
+    module's ``Mask`` name (a wrapper that counts public constructions, say)
+    leaves this path alone.
     """
     mask = object.__new__(cls)
     mask.direction, mask.bits, mask.pattern = direction, bits, pattern
@@ -103,7 +104,8 @@ def _check_shape(shape: tuple[int, int], m: int, direction: MaskDirection, what:
 
     Forward blocks run along rows and need cols divisible by M, backward
     blocks need rows divisible by M, and transposable masks need both (rows
-    checked first). The generators, ``Mask`` and ``SparseLinearLayer`` share it.
+    checked first). Each mask kernel checks its own direction before it cuts
+    a block, and ``Mask`` checks its bits the same way.
     """
     rows, cols = shape
     if direction is not MaskDirection.FORWARD:
@@ -183,18 +185,17 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     exactly N ones per block. ``_top_n`` takes them by one argmax per block
     at 1:M and by pairwise ranks otherwise.
     """
-    w = matrix(w)
-    _check_shape(w.shape, pattern.m, MaskDirection.FORWARD)
-    return _forward_mask(w, pattern)
+    return _forward_mask(matrix(w), pattern)
 
 
 def _forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
-    """``forward_mask`` of a matrix that already passed its checks.
+    """``forward_mask`` of a matrix that already passed ``matrix()``.
 
-    ``w`` must be a finite C-contiguous float64 matrix whose columns split
-    into blocks of M, as ``matrix()`` and ``_check_shape`` leave it.
+    ``w`` must be a finite C-contiguous float64 matrix, as ``matrix()``
+    leaves it; columns that do not split into blocks of M raise ValueError.
     """
     n, m = pattern.n, pattern.m
+    _check_shape(w.shape, m, MaskDirection.FORWARD)
     rows, cols = w.shape
     # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
     # of the rows for _top_one, whose argmax reads each block contiguously
@@ -262,7 +263,6 @@ def backward_mask(
     uint8 result is swapped back to permuted row order.
     """
     w = matrix(w)
-    _check_shape(w.shape, pattern.m, MaskDirection.BACKWARD)
     if fwd.direction is not MaskDirection.FORWARD:
         raise ValueError(f"backward_mask needs a forward mask, got {fwd.direction.value}")
     if fwd.shape != w.shape:
@@ -288,13 +288,14 @@ def _backward_mask(
 ) -> Mask:
     """``backward_mask`` of arguments that already passed its checks.
 
-    ``w`` must be a finite C-contiguous float64 matrix whose rows split into
-    blocks of M; ``fwd`` a forward mask of its shape and pattern; ``perm`` an
-    int64 permutation of the rows, never None; ``seed`` given on a seeded
-    criterion. The gradient criterion's ``gradient`` is still checked here,
-    since no caller checks it before.
+    ``w`` must be a finite C-contiguous float64 matrix; ``fwd`` a forward
+    mask of its shape and pattern; ``perm`` an int64 permutation of the
+    rows, never None; ``seed`` given on a seeded criterion. Rows that do not
+    split into blocks of M raise ValueError here, and the gradient
+    criterion's ``gradient`` is checked here too, since no caller checks it.
     """
     n, m = pattern.n, pattern.m
+    _check_shape(w.shape, m, MaskDirection.BACKWARD)
     rows, cols = w.shape
     blocks = rows // m
     order = perm.reshape(blocks, m).T.ravel()
@@ -563,9 +564,7 @@ def transposable_mask(
     ``method`` may be a member or its value; anything else raises ValueError.
     """
     method = TransposableMethod(method)
-    w = matrix(w)
-    _check_shape(w.shape, pattern.m, MaskDirection.TRANSPOSABLE)
-    return _transposable_mask(w, pattern, method)
+    return _transposable_mask(matrix(w), pattern, method)
 
 
 def _transposable_mask(
@@ -575,13 +574,14 @@ def _transposable_mask(
 ) -> Mask:
     """``transposable_mask`` of arguments that already passed its checks.
 
-    ``w`` must be a finite C-contiguous float64 matrix whose rows and
-    columns both split into blocks of M, and ``method`` a member. The scan
-    and the exact solver take the stack in chunks, the rounds whole (see
-    ``tensorops.SCRATCH_WORDS``); every chunk's bits go into one C-ordered
-    tile buffer.
+    ``w`` must be a finite C-contiguous float64 matrix and ``method`` a
+    member; rows, then columns, that do not split into blocks of M raise
+    ValueError. The scan and the exact solver take the stack in chunks, the
+    rounds whole (see ``tensorops.SCRATCH_WORDS``); every chunk's bits go
+    into one C-ordered tile buffer.
     """
     n, m = pattern.n, pattern.m
+    _check_shape(w.shape, m, MaskDirection.TRANSPOSABLE)
     rows, cols = w.shape
     grid = (rows // m, cols // m)
     tiles = np.abs(w.reshape(grid[0], m, grid[1], m).swapaxes(1, 2), order="C").reshape(-1, m, m)

@@ -56,15 +56,14 @@ class SearchReport:
 
 def count_eligible_blocks(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int, int]:
     """(eligible, total) column-aligned M-blocks of an already-masked matrix."""
-    masked_w = matrix(masked_w)
-    check_divisible(masked_w.shape[0], pattern.m, "matrix rows")
-    return _count_eligible(masked_w, pattern)
+    return _count_eligible(matrix(masked_w), pattern)
 
 
 def _count_eligible(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int, int]:
-    """``count_eligible_blocks`` of a 2-D matrix whose rows split into blocks of M."""
+    """``count_eligible_blocks`` of a 2-D matrix; rows not in blocks of M raise ValueError."""
     n, m = pattern.n, pattern.m
     rows, cols = masked_w.shape
+    check_divisible(rows, m, "matrix rows")
     # the narrowest type that holds m sums the middle axis fastest
     nonzeros = (masked_w != 0).reshape(rows // m, m, cols).sum(axis=1, dtype=np.min_scalar_type(m))
     return int((nonzeros <= n).sum()), int(nonzeros.size)

@@ -18,8 +18,9 @@ import numpy as np
 
 # The refresh dispatches through the names forward_mask, backward_mask,
 # transposable_mask and count_eligible_blocks to the unchecked entry points:
-# SparseLinearLayer has already checked everything they trust.
-from .masks import SEEDED_CRITERIA, BinarizationCriterion, Mask, MaskDirection, _check_shape
+# SparseLinearLayer has already checked the weights and permutation they
+# trust, and each kernel checks the block geometry it cuts.
+from .masks import SEEDED_CRITERIA, BinarizationCriterion, Mask
 from .masks import _backward_mask as backward_mask
 from .masks import _forward_mask as forward_mask
 from .masks import _transposable_mask as transposable_mask
@@ -35,15 +36,6 @@ class Strategy(Enum):
     VANILLA = "vanilla"
     TRANSPOSABLE = "transposable"
     BI_MASK = "bimask"
-
-
-# the masks each strategy's refresh builds, in build order
-_MASK_DIRECTIONS = {
-    Strategy.DENSE: (),
-    Strategy.VANILLA: (MaskDirection.FORWARD,),
-    Strategy.TRANSPOSABLE: (MaskDirection.TRANSPOSABLE,),
-    Strategy.BI_MASK: (MaskDirection.FORWARD, MaskDirection.BACKWARD),
-}
 
 
 class DivergenceError(RuntimeError):
@@ -144,15 +136,16 @@ class SparseLinearLayer:
     assigned permutation.
 
     The layer checks its data once, where it enters, and its refresh runs
-    the mask kernels without checking again:
+    the mask kernels without checking it again:
     - assigning ``w`` checks the weights (``matrix()``, then the layer's
       shape), keeps a read-only float64 copy and drops the masked weights and
       their permuted rows, which are built at most once per refresh and
       shared by every product and count;
-    - construction checks that the shape splits into the blocks of the
-      strategy's masks;
     - assigning ``perm`` checks the permutation and keeps a read-only int64
       copy.
+    Block geometry is each kernel's own check, so a refresh, the first one
+    in the constructor included, raises ValueError when the shape does not
+    split into the blocks of the current ``strategy`` and ``pattern``.
     ``prev_weight_grad`` is a plain attribute; the gradient criterion's
     kernel checks it on each refresh that ranks it.
     """
@@ -161,8 +154,6 @@ class SparseLinearLayer:
         self.w = w
         self.pattern = pattern
         self.strategy = Strategy(strategy)
-        for direction in _MASK_DIRECTIONS[self.strategy]:
-            _check_shape(self.w.shape, pattern.m, direction)
         self.salt = salt
         self.perm = identity_permutation(self.w.shape[0])
         self.prev_weight_grad: np.ndarray | None = None
@@ -284,7 +275,7 @@ def _build_masks(
     old_masks = (layer.fwd_mask, layer.bwd_mask)
     if layer.strategy is Strategy.TRANSPOSABLE:
         layer._fwd_mask = transposable_mask(layer.w, layer.pattern)
-    elif MaskDirection.FORWARD in _MASK_DIRECTIONS[layer.strategy]:
+    elif layer.strategy is not Strategy.DENSE:
         layer._fwd_mask = forward_mask(layer.w, layer.pattern)
     layer._masked = layer._masked_perm = None
 

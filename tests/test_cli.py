@@ -379,6 +379,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "test features have shape (2, 5), expected (2, 4)" in err
 
+    @pytest.mark.parametrize("lone", ["t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"])
+    def test_lone_test_split_file_exit_2(self, tmp_path, capsys, lone):
+        # half a test pair is not silently dropped: the missing partner fails on its path
+        root = tmp_path / "idx"
+        root.mkdir()
+        save_idx_images(root / "train-images-idx3-ubyte", np.zeros((4, 2, 2), dtype=np.uint8))
+        save_idx_labels(root / "train-labels-idx1-ubyte", np.array([0, 1, 0, 1], dtype=np.uint8))
+        save_idx_images(root / "t10k-images-idx3-ubyte", np.zeros((2, 2, 2), dtype=np.uint8))
+        save_idx_labels(root / "t10k-labels-idx1-ubyte", np.array([0, 1], dtype=np.uint8))
+        missing = next(name for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte") if name != lone)
+        (root / missing).unlink()
+        rc = main(["train", "--strategy", "vanilla", "--pattern", "2:4", "--dataset", f"idx:{root}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(root / missing) in err
+
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["train", "--nope"]) == 1
 

@@ -112,6 +112,21 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated label data: expected 11 bytes, file has 9"):
             load_idx_labels(path)
 
+    @pytest.mark.parametrize(
+        "load, magic, header, message",
+        [
+            (load_idx_images, IDX_IMAGE_MAGIC, (2, 2, 2), "image data too long: file has 25 bytes, 1 more than the 24"),
+            (load_idx_labels, IDX_LABEL_MAGIC, (3,), "label data too long: file has 12 bytes, 1 more than the 11"),
+        ],
+        ids=["images", "labels"],
+    )
+    def test_extra_bytes_are_not_called_truncated(self, tmp_path, load, magic, header, message):
+        path = tmp_path / "long"
+        path.write_bytes(struct.pack(f">{1 + len(header)}i", magic, *header) + b"\x00" * (int(np.prod(header)) + 1))
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message} its header declares"
+
     def test_header_follows_the_magic_rank(self, tmp_path):
         images_path, labels_path, _, _ = make_fixture(tmp_path, count=4, rows=3, cols=2)
         assert images_path.read_bytes()[:16] == struct.pack(">iiii", IDX_IMAGE_MAGIC, 4, 3, 2)

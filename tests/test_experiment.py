@@ -335,6 +335,16 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert (summary.strategy, summary.criterion) == ("bimask", "multinomial")
 
+    def test_pattern_given_by_its_text(self, tmp_path):
+        cfg = replace(small_config(tmp_path / "text"), pattern="2:4")
+        assert cfg.pattern == NmPattern(2, 4)
+        run_experiment(cfg)
+        run_experiment(small_config(tmp_path / "member"))
+        for name in ("metrics.csv", "layer0_forward_mask.txt", "layer1_backward_mask.txt"):
+            assert (tmp_path / "text" / name).read_bytes() == (tmp_path / "member" / name).read_bytes()
+        with pytest.raises(ValueError, match="^pattern must look like N:M, got '2-4'$"):
+            replace(cfg, pattern="2-4")
+
     @pytest.mark.parametrize(
         "field, value, message",
         [("strategy", "sparse", "not a valid Strategy"), ("criterion", "magnitude", "not a valid BinarizationCriterion")],

@@ -5,8 +5,10 @@ duplicate a line, swap two values, or replace one value with a token from a
 fixed list. No token is a larger size than the valid file holds, so every
 run stays small; the huge sizes below are ones the program refuses before
 it allocates or reads that much (numpy refuses a 10**12-entry array at once).
-IDX cases rewrite one header field, truncate or extend a file, or pair
-files of different counts.
+IDX cases rewrite one header field of one file of the train pair or of
+the optional ``t10k-*`` test pair, truncate or extend it, pair files of
+different counts, or leave one test file alone. Config cases run through
+``train`` and ``ablate``.
 """
 
 import contextlib
@@ -119,17 +121,31 @@ def run_cli(argv) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-@settings(max_examples=40, deadline=None)
-@given(mutations(VALID_CONFIG, "="))
-def test_mutated_config_through_train(text):
+def check_config_run(command, text):
+    """``command`` on a config of ``text``: a documented exit code, and on success
+    every written config.txt reads back to the same text."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.txt", Path(tmp) / "run"
         cfg.write_text(text, encoding="utf-8")
-        rc, err = run_cli(["train", "--config", str(cfg), "--out", str(out)])
+        rc, err = run_cli([command, "--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2, 3) and "Traceback" not in err
         if rc == 0:
-            written = (out / "config.txt").read_text()
-            assert serialize_config(load_config(out / "config.txt")) == written
+            written = sorted(out.rglob("config.txt"))
+            assert len(written) == (1 if command == "train" else 3)
+            for path in written:
+                assert serialize_config(load_config(path)) == path.read_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations(VALID_CONFIG, "="))
+def test_mutated_config_through_train(text):
+    check_config_run("train", text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations(VALID_CONFIG, "="))
+def test_mutated_config_through_ablate(text):
+    check_config_run("ablate", text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,22 +193,33 @@ def config_text(**values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_train(tmp, text) -> tuple[int, str]:
+def run_train(tmp, text, command="train") -> tuple[int, str]:
     cfg = Path(tmp) / "cfg.txt"
     cfg.write_text(text, encoding="utf-8")
-    return run_cli(["train", "--config", str(cfg), "--out", str(Path(tmp) / "run")])
+    return run_cli([command, "--config", str(cfg), "--out", str(Path(tmp) / "run")])
 
 
-@pytest.mark.parametrize("key", ["classes", "dim", "per_class", "hidden_dims", "batch_size"])
+SIZE_KEYS = ["classes", "dim", "per_class", "hidden_dims", "batch_size"]
+
+
+@pytest.mark.parametrize("key", SIZE_KEYS)
 def test_huge_size_in_config_exit_2(tmp_path, key):
     # an array of 10**12 rows or columns is refused by numpy before it touches memory
     rc, err = run_train(tmp_path, config_text(**{key: 10**12}))
     assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", SIZE_KEYS)
+def test_huge_size_in_config_through_ablate_exit_2(tmp_path, key):
+    rc, err = run_train(tmp_path, config_text(**{key: 10**12}), command="ablate")
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 IDX_IMAGES, IDX_LABELS = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
-IDX_MAGIC = {IDX_IMAGES: IDX_IMAGE_MAGIC, IDX_LABELS: IDX_LABEL_MAGIC}
-IDX_SHAPE = {IDX_IMAGES: (16, 4, 4), IDX_LABELS: (16,)}
+TEST_IMAGES, TEST_LABELS = "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"
+IDX_MAGIC = {name: IDX_LABEL_MAGIC if "labels" in name else IDX_IMAGE_MAGIC
+             for name in (IDX_IMAGES, IDX_LABELS, TEST_IMAGES, TEST_LABELS)}
+IDX_SHAPE = {name: (16,) if magic == IDX_LABEL_MAGIC else (16, 4, 4) for name, magic in IDX_MAGIC.items()}
 
 
 def idx_bytes(name, shape, header=None) -> bytes:
@@ -201,36 +228,53 @@ def idx_bytes(name, shape, header=None) -> bytes:
     ``header`` replaces the dimension fields written before the data.
     """
     rng = np.random.default_rng(7)
-    data = np.arange(16) % 4 if name == IDX_LABELS else rng.integers(0, 256, size=16 * 16)
+    data = np.arange(16) % 4 if IDX_MAGIC[name] == IDX_LABEL_MAGIC else rng.integers(0, 256, size=16 * 16)
     data = np.resize(data.astype(np.uint8), math.prod(shape))
     return struct.pack(f">{1 + len(shape)}i", IDX_MAGIC[name], *(header or shape)) + data.tobytes()
 
 
+def valid_idx(*names) -> dict:
+    return {name: idx_bytes(name, IDX_SHAPE[name]) for name in names}
+
+
+def file_mutations(name):
+    """(bytes, id) of each mutation of the valid file ``name``."""
+    valid, shape = idx_bytes(name, IDX_SHAPE[name]), IDX_SHAPE[name]
+    kind = name.rsplit("-", 2)[0].removeprefix("train-")  # images, labels, t10k-images, t10k-labels
+    other = IDX_IMAGE_MAGIC if IDX_MAGIC[name] == IDX_LABEL_MAGIC else IDX_LABEL_MAGIC
+    for magic in (0, other, 0x7FFFFFFF, -1):
+        yield struct.pack(">i", magic) + valid[4:], f"{kind}-magic={magic}"
+    for field in range(len(shape)):
+        for value in (0, 1, 15, 17, 10**9, -1):
+            header = shape[:field] + (value,) + shape[field + 1:]
+            yield idx_bytes(name, shape, header), f"{kind}-dim{field}={value}"
+            if 0 <= value <= 17:  # the data resized to the header too
+                yield idx_bytes(name, header), f"{kind}-dim{field}={value}-resized"
+    header_len = 4 + 4 * len(shape)
+    for keep in (0, 3, 6, header_len, header_len + 1, len(valid) - 1):
+        yield valid[:keep], f"{kind}-truncated-to-{keep}"
+    yield valid + b"\0", f"{kind}-extended"
+
+
 def idx_cases():
-    """One mutated file each, as (name, file bytes); the other file of the pair stays valid."""
-    for name, shape in IDX_SHAPE.items():
-        valid, kind = idx_bytes(name, shape), name.split("-")[1]
-        for magic in (0, IDX_MAGIC[IDX_LABELS if name == IDX_IMAGES else IDX_IMAGES], 0x7FFFFFFF, -1):
-            yield pytest.param(name, struct.pack(">i", magic) + valid[4:], id=f"{kind}-magic={magic}")
-        for field in range(len(shape)):
-            for value in (0, 1, 15, 17, 10**9, -1):
-                header = shape[:field] + (value,) + shape[field + 1:]
-                yield pytest.param(name, idx_bytes(name, shape, header), id=f"{kind}-dim{field}={value}")
-                if 0 <= value <= 17:  # the data resized to the header too
-                    yield pytest.param(name, idx_bytes(name, header), id=f"{kind}-dim{field}={value}-resized")
-        header_len = 4 + 4 * len(shape)
-        for keep in (0, 3, 6, header_len, header_len + 1, len(valid) - 1):
-            yield pytest.param(name, valid[:keep], id=f"{kind}-truncated-to-{keep}")
-        yield pytest.param(name, valid + b"\0", id=f"{kind}-extended")
-    yield pytest.param(IDX_LABELS, idx_bytes(IDX_LABELS, (15,)), id="labels-15-for-16-images")
+    """IDX directories as {file name: bytes}, each a valid train pair, or a valid
+    train and test pair, with one file mutated, or one test file left alone."""
+    for pair, prefix in (((IDX_IMAGES, IDX_LABELS), ""), ((TEST_IMAGES, TEST_LABELS), "t10k-")):
+        base = valid_idx(IDX_IMAGES, IDX_LABELS, *pair)
+        for name in pair:
+            for payload, case in file_mutations(name):
+                yield pytest.param({**base, name: payload}, id=case)
+        yield pytest.param({**base, pair[1]: idx_bytes(pair[1], (15,))}, id=f"{prefix}labels-15-for-16-images")
+    for name in (TEST_IMAGES, TEST_LABELS):
+        yield pytest.param(valid_idx(IDX_IMAGES, IDX_LABELS, name), id=f"{name.rsplit('-', 2)[0]}-alone")
 
 
-def train_on_idx(tmp_path, **payloads) -> tuple[int, str]:
-    """``train`` (1 epoch, batch 4, hidden 4) on the valid IDX pair with the named files replaced."""
+def train_on_idx(tmp_path, files=None) -> tuple[int, str]:
+    """``train`` (1 epoch, batch 4, hidden 4) on a directory of IDX ``files`` (default: the valid train pair)."""
     root = tmp_path / "idx"
     root.mkdir()
-    for name, shape in IDX_SHAPE.items():
-        (root / name).write_bytes(payloads[name] if name in payloads else idx_bytes(name, shape))
+    for name, payload in (files or valid_idx(IDX_IMAGES, IDX_LABELS)).items():
+        (root / name).write_bytes(payload)
     text = config_text(dataset=f"idx:{root}", hidden_dims=4, epochs=1, batch_size=4, warmup_epochs=0)
     return run_train(tmp_path, text)
 
@@ -239,7 +283,11 @@ def test_valid_idx_pair_trains(tmp_path):
     assert train_on_idx(tmp_path) == (0, "")
 
 
-@pytest.mark.parametrize("name, payload", idx_cases())
-def test_mutated_idx_pair_through_train(tmp_path, name, payload):
-    rc, err = train_on_idx(tmp_path, **{name: payload})
+def test_valid_idx_pair_with_test_pair_trains(tmp_path):
+    assert train_on_idx(tmp_path, valid_idx(*IDX_MAGIC)) == (0, "")
+
+
+@pytest.mark.parametrize("files", idx_cases())
+def test_mutated_idx_pair_through_train(tmp_path, files):
+    rc, err = train_on_idx(tmp_path, files)
     assert rc in (0, 1, 2, 3) and "Traceback" not in err

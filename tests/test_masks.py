@@ -1475,10 +1475,32 @@ class TestUncheckedEntryPoints:
         masked = fwd.apply(w)[perm]
         assert _count_eligible(masked, pattern) == count_eligible_blocks(masked, pattern)
 
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=str)
+    def test_refuse_blocks_that_do_not_tile_the_matrix(self, shape):
+        # each kernel checks the geometry of the blocks it cuts
+        w = np.random.default_rng(10).normal(size=shape)
+        rows, cols = shape
+        calls = [(transposable_mask, _transposable_mask, (w, P24, t)) for t in TransposableMethod]
+        if cols % 4:
+            calls.append((forward_mask, _forward_mask, (w, P24)))
+        else:
+            fwd = forward_mask(w, P24)
+            calls.append((backward_mask, _backward_mask, (w, fwd, np.arange(rows), P24)))
+            calls.append((count_eligible_blocks, _count_eligible, (fwd.apply(w), P24)))
+        message = f"needs matrix {'cols' if cols % 4 else 'rows'} divisible by 4, got 6"
+        for public, unchecked, args in calls:
+            with pytest.raises(ValueError) as expected:
+                public(*args)
+            with pytest.raises(ValueError) as err:
+                unchecked(*args)
+            assert str(err.value) == str(expected.value) == message
+
 
 class TestPublicChecks:
-    """Rejections of the public generators that no other test covers; the
-    unchecked entry points trust their callers for all of them."""
+    """Rejections of the public generators that no other test covers. The
+    unchecked entry points trust their callers for the input checks; the
+    block geometry (the divisibility case) and the gradient's checks are
+    theirs too, so they raise those the same way."""
 
     @staticmethod
     def inputs():

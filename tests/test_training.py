@@ -91,10 +91,35 @@ class TestLayerConstruction:
         ids=lambda v: getattr(v, "value", v),
     )
     def test_shape_is_checked_once_at_construction(self, strategy, shape, message):
-        # the refresh's kernels trust the shape from then on
+        # the constructor's first refresh raises it from the kernel that cuts the blocks
         with pytest.raises(ValueError) as err:
             SparseLinearLayer(np.zeros(shape), P24, strategy)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "shape, strategy, name, value, message",
+        [
+            ((4, 6), Strategy.DENSE, "strategy", Strategy.VANILLA, "needs matrix cols divisible by 4, got 6"),
+            ((8, 12), Strategy.VANILLA, "pattern", NmPattern(1, 8), "needs matrix cols divisible by 8, got 12"),
+        ],
+        ids=["dense-to-vanilla", "2:4-to-1:8"],
+    )
+    def test_refresh_checks_a_reassigned_forward_geometry(self, shape, strategy, name, value, message):
+        # the forward kernel refuses before it cuts a block that straddles rows
+        layer = SparseLinearLayer(np.random.default_rng(8).normal(size=shape), P24, strategy)
+        built = layer.fwd_mask
+        setattr(layer, name, value)
+        with pytest.raises(ValueError) as err:
+            refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert str(err.value) == message
+        assert layer.fwd_mask is built
+
+    def test_refresh_checks_a_reassigned_backward_geometry(self):
+        layer = SparseLinearLayer(np.random.default_rng(9).normal(size=(6, 8)), P24, Strategy.VANILLA)
+        layer.strategy = Strategy.BI_MASK
+        with pytest.raises(ValueError) as err:
+            refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert str(err.value) == "needs matrix rows divisible by 4, got 6"
 
     @pytest.mark.parametrize(
         "bad",
