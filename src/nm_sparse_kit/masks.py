@@ -161,7 +161,8 @@ def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
     for i in range(m - 1):
         beaten = (keys[i] >= keys[i + 1 :]).view(np.uint8)  # as uint8, the adds need no cast
         rank[i + 1 :] += beaten
-        rank[i] -= beaten.sum(axis=0, dtype=rank.dtype)
+        # the last pass compares one row, which is its own count
+        rank[i] -= beaten[0] if i == m - 2 else beaten.sum(axis=0, dtype=rank.dtype)
     return (rank < n).view(np.uint8)
 
 

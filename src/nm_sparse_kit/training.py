@@ -143,9 +143,15 @@ class SparseLinearLayer:
       shared by every product and count;
     - assigning ``perm`` checks the permutation and keeps a read-only int64
       copy.
-    Block geometry is each kernel's own check, so a refresh, the first one
-    in the constructor included, raises ValueError when the shape does not
-    split into the blocks of the current ``strategy`` and ``pattern``.
+    ``train()`` installs each SGD update through a private hand-off that
+    checks only finiteness and keeps the step's fresh array without a copy;
+    the setter keeps every check and its copy, and both share one install
+    step. Block geometry is each kernel's own check, so a refresh, the first
+    one in the constructor included, raises ValueError when the shape does
+    not split into the blocks of the current ``strategy`` and ``pattern``.
+    A refresh commits its masks (and a searched permutation) only after
+    every kernel has succeeded, so one that raises leaves the layer as it
+    was, and it clears the mask slots its strategy does not build.
     ``prev_weight_grad`` is a plain attribute; the gradient criterion's
     kernel checks it on each refresh that ranks it.
     """
@@ -171,8 +177,23 @@ class SparseLinearLayer:
         w = matrix(value)
         if w.shape != getattr(self, "_w", w).shape:  # the first assignment sets the shape
             raise ValueError(f"layer weights are {self._w.shape}, got {w.shape}")
-        self._w = _read_only(w.copy())
+        self._install(w.copy())
+
+    def _install(self, w: np.ndarray) -> None:
+        """Hold ``w``, a checked array no one else writes, read-only as the weights."""
+        self._w = _read_only(w)
         self._masked = self._masked_perm = None
+
+    def _take_update(self, new: np.ndarray, iteration: int) -> None:
+        """``train()``'s hand-off of the weights its step computed, without a copy.
+
+        ``new`` is a fresh float64 array of the layer's shape, made from the
+        checked weights, so finiteness is the one check it can fail; then it
+        raises ``DivergenceError(iteration)`` and the layer keeps its weights.
+        """
+        if not np.isfinite(new).all():
+            raise DivergenceError(iteration)
+        self._install(new)
 
     @property
     def perm(self) -> np.ndarray:
@@ -270,17 +291,21 @@ def _build_masks(
     On bi-mask, a given ``k`` first re-searches the row permutation (seeded
     from ``entropy``), and the backward mask is built from the incumbent one;
     its gradient criterion falls back to weight magnitude until the layer has
-    a weight gradient.
+    a weight gradient. Everything is built into locals and committed only
+    after every kernel and the search have succeeded; the slots the strategy
+    does not build become None, and flips count only between masks that
+    exist before and after.
     """
-    old_masks = (layer.fwd_mask, layer.bwd_mask)
+    fwd = bwd = masked = permuted = None
+    perm = layer.perm
     if layer.strategy is Strategy.TRANSPOSABLE:
-        layer._fwd_mask = transposable_mask(layer.w, layer.pattern)
+        fwd = transposable_mask(layer.w, layer.pattern)
     elif layer.strategy is not Strategy.DENSE:
-        layer._fwd_mask = forward_mask(layer.w, layer.pattern)
-    layer._masked = layer._masked_perm = None
+        fwd = forward_mask(layer.w, layer.pattern)
 
     stats = RefreshStats()
     if layer.strategy is Strategy.BI_MASK:
+        masked = _read_only(fwd.bits * layer.w)
         # a seed sequence costs about a tenth of a small layer's refresh, so
         # only the search and the sampling criteria, which read one, draw it
         seeds = (
@@ -289,32 +314,27 @@ def _build_masks(
             else [None, None]
         )
         if k is not None:
-            report = search_permutation(
-                layer.masked_weights(), layer.pattern, k, current=layer.perm, seed=seeds[0]
-            )
-            layer.perm = report.chosen
+            report = search_permutation(masked, layer.pattern, k, current=perm, seed=seeds[0])
+            perm = report.chosen
             stats = RefreshStats(searched=True, search_seconds=report.elapsed)
         if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
             criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
-        layer._bwd_mask = backward_mask(
-            layer.w,
-            layer.fwd_mask,
-            layer.perm,
-            layer.pattern,
-            criterion,
-            gradient=layer.prev_weight_grad,
-            seed=seeds[1],
+        bwd = backward_mask(
+            layer.w, fwd, perm, layer.pattern, criterion, gradient=layer.prev_weight_grad, seed=seeds[1]
         )
-        layer._bwd_perm = layer.perm
-        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(
-            layer._permuted_masked(), layer.pattern
-        )
+        permuted = _read_only(masked[perm])
+        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(permuted, layer.pattern)
 
-    for old, new in zip(old_masks, (layer.fwd_mask, layer.bwd_mask)):
+    if perm is not layer.perm:
+        layer.perm = perm
+    for old, new in ((layer.fwd_mask, fwd), (layer.bwd_mask, bwd)):
         if new is not None:
             _read_only(new.bits)
-        if old is not None:
-            stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
+            if old is not None:
+                stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
+    layer._fwd_mask, layer._bwd_mask = fwd, bwd
+    layer._bwd_perm = layer.perm if bwd is not None else None
+    layer._masked, layer._masked_perm = masked, permuted
     return stats
 
 
@@ -332,10 +352,6 @@ def refresh_masks(
     """
     k = config.k if iteration % config.delta_t == 0 else None
     return _build_masks(layer, criterion, k, [config.seed, iteration, layer.salt])
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -389,7 +405,8 @@ def _layer_inputs(layers, x: np.ndarray) -> list[np.ndarray]:
     """The input of each layer in the chain: ``x``, then each hidden rectified output."""
     inputs = [x]
     for layer in layers[:-1]:
-        inputs.append(relu(sparse_forward(inputs[-1], layer)))
+        z = sparse_forward(inputs[-1], layer)
+        inputs.append(np.maximum(z, 0.0, out=z))  # the product is fresh, so rectify it in place
     return inputs
 
 
@@ -430,6 +447,7 @@ def train(
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xDA7A]))
     velocities = [np.zeros_like(layer.w) for layer in layers]
+    scratch = [np.empty_like(layer.w) for layer in layers]  # each layer's SGD temporaries
     trace = TrainingTrace()
 
     t = 0
@@ -463,23 +481,28 @@ def train(
                 for i in reversed(range(len(layers))):
                     layer = layers[i]
                     g_w = weight_gradient(g, inputs[i], layer)
+                    # the products are fresh and their callers done with them,
+                    # so the gap and the gate work in place
                     if layer.strategy is Strategy.BI_MASK:
                         g_x = backward_bimask(g, layer)
                         g_ideal = backward_exact(g, layer)
-                        gap_num += float(((g_x - g_ideal) ** 2).sum())
-                        gap_den += float((g_ideal**2).sum())
+                        err = g_x - g_ideal
+                        gap_num += float(np.square(err, out=err).sum())
+                        gap_den += float(np.square(g_ideal, out=g_ideal).sum())
                     else:
                         g_x = backward_exact(g, layer)
                     if i > 0:
-                        g = g_x * (inputs[i] > 0)  # relu(z) > 0 exactly where z > 0
+                        g_x *= inputs[i] > 0  # relu(z) > 0 exactly where z > 0
+                        g = g_x
                     layer.prev_weight_grad = g_w
-                    v = velocities[i]
+                    # v = momentum v + (g_w + wd w); w - lr v, with one scratch array
+                    v, buf = velocities[i], scratch[i]
+                    np.multiply(layer.w, config.weight_decay, out=buf)
+                    buf += g_w
                     v *= config.momentum
-                    v += g_w + config.weight_decay * layer.w
-                    try:
-                        layer.w = layer.w - lr * v
-                    except ValueError:  # the setter refused a non-finite update
-                        raise DivergenceError(t) from None  # the layer keeps its last finite weights
+                    v += buf
+                    np.multiply(v, lr, out=buf)
+                    layer._take_update(layer.w - buf, t)
 
             gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
             trace.steps.append(

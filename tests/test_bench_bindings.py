@@ -11,23 +11,40 @@ and never change it.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from nm_sparse_kit import experiment
 from nm_sparse_kit.data import generate_synthetic
 from nm_sparse_kit.tensorops import NmPattern
 from nm_sparse_kit.training import Strategy, TrainConfig, init_layers, train
 
-HARNESS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def harness():
-    spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("harness")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling as ``harness``, as run.py leaves it on the path
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield load("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def test_every_traced_binding_resolves(harness):
@@ -56,3 +73,16 @@ def test_checker_sees_every_mask_train_makes(harness, strategy, checks_per_layer
     # one set of masks at construction, then one per layer per iteration
     assert checker.checks == len(layers) * (len(trace) + 1) * checks_per_layer_refresh
     assert checker.failures == []
+
+
+def test_gradient_probe_reads_the_gaps_train_reports(harness, workloads):
+    # the probe recomputes each backward product's gap from the arrays train()
+    # hands its bindings, so it agrees only if train() leaves them intact
+    data = generate_synthetic(classes=4, dim=8, per_class=16, spread=0.3, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=0, seed=1)
+    probe = workloads.GradientProbe()
+    with harness.patched(probe.bindings()):
+        layers = init_layers([8, 8, 4], NmPattern(2, 4), Strategy.BI_MASK, seed=1)
+        _, trace = experiment.train(layers, data, cfg)
+    assert any(s.grad_gap_l2 > 0 for s in trace)
+    assert probe.gaps == [s.grad_gap_l2 for s in trace]

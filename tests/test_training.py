@@ -24,7 +24,6 @@ from nm_sparse_kit.training import (
     init_layers,
     lr_at,
     refresh_masks,
-    relu,
     softmax_cross_entropy,
     sparse_forward,
     train,
@@ -120,6 +119,41 @@ class TestLayerConstruction:
         with pytest.raises(ValueError) as err:
             refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
         assert str(err.value) == "needs matrix rows divisible by 4, got 6"
+
+    @pytest.mark.parametrize("delta_t", [10**9, 1], ids=["no-search", "search"])
+    def test_a_refresh_that_raises_leaves_the_layer_as_it_was(self, delta_t):
+        layer = SparseLinearLayer(np.random.default_rng(9).normal(size=(6, 8)), P24, Strategy.VANILLA)
+        built, perm = layer.fwd_mask, layer.perm
+        layer.strategy = Strategy.BI_MASK
+        cfg = TrainConfig(epochs=1, batch_size=1, delta_t=delta_t, k=4, seed=0)
+        with pytest.raises(ValueError, match="needs matrix rows divisible by 4, got 6"):
+            refresh_masks(layer, 1, cfg)
+        assert layer.fwd_mask is built and not built.bits.flags.writeable
+        assert layer.perm is perm and layer.bwd_mask is None
+
+    def test_a_refresh_to_dense_drops_the_forward_mask(self):
+        rng = np.random.default_rng(10)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.VANILLA)
+        layer.strategy = Strategy.DENSE
+        layer.w = rng.normal(size=(8, 8))
+        assert refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0)).mask_flip_count == 0
+        assert layer.fwd_mask is None
+        assert layer.masked_weights() is layer.w
+        assert np.array_equal(sparse_forward(np.eye(8), layer), layer.w)
+
+    @pytest.mark.parametrize("strategy", [Strategy.VANILLA, Strategy.TRANSPOSABLE], ids=lambda s: s.value)
+    def test_a_refresh_away_from_bimask_drops_the_backward_mask(self, strategy):
+        rng = np.random.default_rng(11)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        old_fwd = layer.fwd_mask
+        layer.strategy = strategy
+        layer.w = rng.normal(size=(8, 8))
+        stats = refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
+        assert layer.bwd_mask is None
+        # only the forward mask, which exists before and after, counts flips
+        assert stats.mask_flip_count == int(np.count_nonzero(layer.fwd_mask.bits != old_fwd.bits))
+        with pytest.raises(ValueError, match="needs a bimask layer"):
+            backward_bimask(rng.normal(size=(8, 2)), layer)
 
     @pytest.mark.parametrize(
         "bad",
@@ -596,6 +630,10 @@ class TestRefreshAgainstOracle:
         assert np.array_equal(sparse_forward(np.eye(8), layer), layer.masked_weights())
 
 
+def relu(z):
+    return np.maximum(z, 0.0)
+
+
 def train_oracle(layers, data, config, criterion):
     """train() as two phases: every layer's products first, then every update.
 
@@ -820,6 +858,27 @@ class TestTrain:
         for layer in layers:
             assert layer.w is seen[id(layer)]
             assert np.isfinite(layer.w).all()
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_each_update_is_a_new_read_only_array(self, strategy, monkeypatch):
+        # the weights every refresh reads are those the previous step installed
+        seen = []
+
+        def recording_refresh(layer, *args):
+            seen.append((layer.w, layer.w.copy()))
+            return refresh_masks(layer, *args)
+
+        monkeypatch.setattr(training, "refresh_masks", recording_refresh)
+        cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=1, seed=2)
+        layers = init_layers([8, 8, 4], P24, strategy, seed=2)
+        _, trace = train(layers, blob_data(np.random.default_rng(25)), cfg)
+        assert len(seen) == len(layers) * len(trace)
+        for i, (w, copy) in enumerate(seen):
+            assert not w.flags.writeable
+            assert np.array_equal(w, copy)
+            assert not any(np.shares_memory(w, other) for other, _ in seen[i + 1 :])
+        for layer in layers:
+            assert not any(np.shares_memory(layer.w, w) for w, _ in seen[-len(layers) :])
 
     def test_metrics_row_count(self):
         rng = np.random.default_rng(23)
