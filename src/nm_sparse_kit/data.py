@@ -24,6 +24,8 @@ class DatasetHandle:
 
     def __post_init__(self):
         for x, y, split in ((self.x_train, self.y_train, "train"), (self.x_test, self.y_test, "test")):
+            if y.dtype.kind not in "iu":  # class indices; a float label is refused, not truncated
+                raise ValueError(f"{split} labels must be integers, got dtype {y.dtype}")
             if len(y) == 0:
                 continue
             if x.shape != (len(y), self.input_dim):

@@ -256,7 +256,8 @@ def backward_mask(
     column, the N strongest entries of the selection statistic inherit the
     permuted forward bit and everything else is zeroed. The returned bits
     are therefore indexed in the *permuted* row order and never exceed the
-    permuted forward mask.
+    permuted forward mask. ``criterion`` may be a member or its value;
+    anything else raises ValueError.
 
     The statistic is built slot-major, (M, blocks, cols) with row i of every
     block together: the rows are gathered once straight into that order,
@@ -272,6 +273,7 @@ def backward_mask(
         raise ValueError(f"forward mask pattern {fwd.pattern} does not match {pattern}")
     rows = w.shape[0]
     perm = np.arange(rows) if perm is None else check_permutation(perm, rows)
+    criterion = BinarizationCriterion(criterion)
     if criterion in SEEDED_CRITERIA and seed is None:
         raise ValueError(f"{criterion.value} criterion needs an explicit seed")
     return _backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed)

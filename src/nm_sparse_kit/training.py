@@ -47,7 +47,7 @@ class DivergenceError(RuntimeError):
 
 
 class StaleMaskError(RuntimeError):
-    pass
+    """Raised by a bi-mask backward product after an assignment dropped its operand."""
 
 
 @dataclass
@@ -128,19 +128,18 @@ class SparseLinearLayer:
     """A bias-free linear layer (out x in weights) with strategy-owned masks.
 
     For the bi-mask strategy the layer also carries the current row
-    permutation and the backward mask generated from it; the backward mask is
-    indexed in the permuted row order. Only a refresh replaces ``fwd_mask``
-    and ``bwd_mask``, and their bits are read-only. ``perm`` stays
-    assignable, and after any assignment a backward product raises
-    ``StaleMaskError`` until a refresh rebuilds the backward mask for the
-    assigned permutation.
+    permutation, the backward mask generated from it (indexed in the
+    permuted row order) and the backward operand B-bar (x) (W (x) B)[perm]
+    that each refresh builds once. Only a refresh replaces ``fwd_mask``
+    and ``bwd_mask``, and their bits are read-only. ``w`` and ``perm`` stay
+    assignable; either assignment drops the backward operand, and a backward
+    product raises ``StaleMaskError`` until a refresh rebuilds it.
 
     The layer checks its data once, where it enters, and its refresh runs
     the mask kernels without checking it again:
     - assigning ``w`` checks the weights (``matrix()``, then the layer's
-      shape), keeps a read-only float64 copy and drops the masked weights and
-      their permuted rows, which are built at most once per refresh and
-      shared by every product and count;
+      shape), keeps a read-only float64 copy and drops the masked weights,
+      which are built at most once per refresh and shared by every product;
     - assigning ``perm`` checks the permutation and keeps a read-only int64
       copy.
     ``train()`` installs each SGD update through a private hand-off that
@@ -165,7 +164,6 @@ class SparseLinearLayer:
         self.prev_weight_grad: np.ndarray | None = None
         self._fwd_mask: Mask | None = None
         self._bwd_mask: Mask | None = None
-        self._bwd_perm: np.ndarray | None = None
         _build_masks(self, BinarizationCriterion.WEIGHT_MAGNITUDE)
 
     @property
@@ -182,7 +180,7 @@ class SparseLinearLayer:
     def _install(self, w: np.ndarray) -> None:
         """Hold ``w``, a checked array no one else writes, read-only as the weights."""
         self._w = _read_only(w)
-        self._masked = self._masked_perm = None
+        self._masked = self._bwd_weights = None
 
     def _take_update(self, new: np.ndarray, iteration: int) -> None:
         """``train()``'s hand-off of the weights its step computed, without a copy.
@@ -202,6 +200,7 @@ class SparseLinearLayer:
     @perm.setter
     def perm(self, value) -> None:
         self._perm = _read_only(check_permutation(value, self.w.shape[0]).copy())
+        self._bwd_weights = None
 
     @property
     def fwd_mask(self) -> Mask | None:
@@ -222,12 +221,6 @@ class SparseLinearLayer:
         if self._masked is None:
             self._masked = _read_only(self._fwd_mask.bits * self.w)
         return self._masked
-
-    def _permuted_masked(self) -> np.ndarray:
-        """Rows of the masked weights in the backward mask's permuted order."""
-        if self._masked_perm is None:
-            self._masked_perm = _read_only(self.masked_weights()[self._bwd_perm])
-        return self._masked_perm
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -250,19 +243,21 @@ def backward_exact(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
 
 
 def backward_bimask(g_y: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
-    """Bi-mask input gradient via the permuted backward mask.
+    """Bi-mask input gradient (B-bar (x) (W (x) B)[perm])^T @ g_y[perm].
 
     Permuting the weight rows and the output-gradient entries by the same
     permutation leaves the product identical to the unpermuted form, so the
-    only approximation is the backward mask itself.
+    only approximation is the backward mask itself. The operand is the one
+    the last refresh built; after a weight or permutation assignment it is
+    gone, and the product raises ``StaleMaskError``.
     """
     if layer.strategy is not Strategy.BI_MASK:
         raise ValueError(f"backward_bimask needs a bimask layer, got {layer.strategy.value}")
     if layer.w.shape[0] != g_y.shape[0]:
         raise ValueError(f"layer emits {layer.w.shape[0]}-dim outputs, got gradient {g_y.shape[0]}")
-    if layer.perm is not layer._bwd_perm:  # every assignment stores a new array
-        raise StaleMaskError("backward mask is stale: permutation changed without a mask refresh")
-    return (layer.bwd_mask.bits * layer._permuted_masked()).T @ g_y[layer.perm]
+    if layer._bwd_weights is None:
+        raise StaleMaskError("backward mask is stale: weights or permutation assigned without a mask refresh")
+    return layer._bwd_weights.T @ g_y[layer.perm]
 
 
 def weight_gradient(g_y: np.ndarray, x: np.ndarray, layer: SparseLinearLayer) -> np.ndarray:
@@ -291,12 +286,14 @@ def _build_masks(
     On bi-mask, a given ``k`` first re-searches the row permutation (seeded
     from ``entropy``), and the backward mask is built from the incumbent one;
     its gradient criterion falls back to weight magnitude until the layer has
-    a weight gradient. Everything is built into locals and committed only
-    after every kernel and the search have succeeded; the slots the strategy
-    does not build become None, and flips count only between masks that
-    exist before and after.
+    a weight gradient. Its eligible blocks are counted on the permuted rows
+    of the masked weights, which the backward mask then multiplies in place
+    into the backward operand. Everything is built into locals and committed
+    only after every kernel and the search have succeeded; the slots the
+    strategy does not build become None, and flips count only between masks
+    that exist before and after.
     """
-    fwd = bwd = masked = permuted = None
+    fwd = bwd = masked = operand = None
     perm = layer.perm
     if layer.strategy is Strategy.TRANSPOSABLE:
         fwd = transposable_mask(layer.w, layer.pattern)
@@ -322,19 +319,19 @@ def _build_masks(
         bwd = backward_mask(
             layer.w, fwd, perm, layer.pattern, criterion, gradient=layer.prev_weight_grad, seed=seeds[1]
         )
-        permuted = _read_only(masked[perm])
-        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(permuted, layer.pattern)
+        operand = masked[perm]
+        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(operand, layer.pattern)
+        operand = _read_only(np.multiply(operand, bwd.bits, out=operand))  # fresh rows: bits * rows in place
 
     if perm is not layer.perm:
-        layer.perm = perm
+        layer.perm = perm  # drops the old operand before the new one is committed
     for old, new in ((layer.fwd_mask, fwd), (layer.bwd_mask, bwd)):
         if new is not None:
             _read_only(new.bits)
             if old is not None:
                 stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
     layer._fwd_mask, layer._bwd_mask = fwd, bwd
-    layer._bwd_perm = layer.perm if bwd is not None else None
-    layer._masked, layer._masked_perm = masked, permuted
+    layer._masked, layer._bwd_weights = masked, operand
     return stats
 
 
@@ -348,10 +345,11 @@ def refresh_masks(
 
     Every call rebuilds the masks; on the bi-mask strategy the row
     permutation is re-searched only when ``iteration % delta_t == 0``.
-    Deterministic given (config.seed, iteration, layer.salt).
+    Deterministic given (config.seed, iteration, layer.salt). ``criterion``
+    may be a member or its value; anything else raises ValueError.
     """
     k = config.k if iteration % config.delta_t == 0 else None
-    return _build_masks(layer, criterion, k, [config.seed, iteration, layer.salt])
+    return _build_masks(layer, BinarizationCriterion(criterion), k, [config.seed, iteration, layer.salt])
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -86,3 +86,24 @@ def test_gradient_probe_reads_the_gaps_train_reports(harness, workloads):
         _, trace = experiment.train(layers, data, cfg)
     assert any(s.grad_gap_l2 > 0 for s in trace)
     assert probe.gaps == [s.grad_gap_l2 for s in trace]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BI_MASK, Strategy.VANILLA], ids=lambda s: s.value)
+def test_tracer_sees_each_binding_once_per_layer_per_step(harness, strategy):
+    # the benchmark's step clock and per-layer metrics count on these calls
+    data = generate_synthetic(classes=4, dim=8, per_class=16, spread=0.3, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=0, seed=1)
+    layers = init_layers([8, 8, 4], NmPattern(2, 4), strategy, seed=1)
+    tracer = harness.Tracer()
+    with harness.patched(tracer.bindings()):
+        _, trace = experiment.train(layers, data, cfg)
+    calls = {name: int(count) for name, (count, _) in tracer.self_times().items()}
+    per_step = len(layers) * len(trace)
+    for name in ("refresh_masks", "sparse_forward", "weight_gradient", "backward_exact"):
+        assert calls[f"training.{name}"] == per_step, name
+    bimask = strategy is Strategy.BI_MASK
+    assert calls.get("training.backward_bimask", 0) == (per_step if bimask else 0)
+    searches = len(layers) * (len(trace) // cfg.delta_t) if bimask else 0
+    assert calls.get("permute.search_permutation", 0) == searches
+    assert calls["training.train"] == 1
+    assert len(tracer.step_seconds()) == len(trace)

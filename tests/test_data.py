@@ -154,3 +154,20 @@ class TestDatasetHandle:
     def test_validates_label_range(self):
         with pytest.raises(ValueError, match="labels"):
             DatasetHandle(4, 2, np.zeros((3, 4)), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([0.0, 1.5, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([True, False, True])],
+        ids=["fractional", "whole-floats", "bool"],
+    )
+    def test_refuses_non_integer_labels(self, split, labels):
+        x, y = np.zeros((3, 4)), np.array([0, 1, 1])
+        splits = (x, labels, x, y) if split == "train" else (x, y, x, labels)
+        with pytest.raises(ValueError, match=f"^{split} labels must be integers, got dtype {labels.dtype}$"):
+            DatasetHandle(4, 2, *splits)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+    def test_accepts_integer_labels(self, dtype):
+        data = DatasetHandle(4, 2, np.zeros((3, 4)), np.array([0, 1, 1], dtype=dtype))
+        assert data.train_count == 3

@@ -233,6 +233,17 @@ class TestBackwardMask:
         with pytest.raises(ValueError, match=f"^{criterion.value} criterion needs an explicit seed$"):
             backward_mask(w, fwd, None, P24, criterion)
 
+    @pytest.mark.parametrize("criterion", list(BinarizationCriterion), ids=lambda c: c.value)
+    def test_criterion_given_by_its_value(self, criterion):
+        rng = np.random.default_rng(15)
+        w = rng.normal(size=(8, 8))
+        fwd, perm, kw = forward_mask(w, P24), rng.permutation(8), dict(gradient=rng.normal(size=(8, 8)), seed=5)
+        member = backward_mask(w, fwd, perm, P24, criterion, **kw)
+        assert np.array_equal(backward_mask(w, fwd, perm, P24, criterion.value, **kw).bits, member.bits)
+        if criterion in masks.SEEDED_CRITERIA:  # a value still meets the seed check
+            with pytest.raises(ValueError, match=f"^{criterion.value} criterion needs an explicit seed$"):
+                backward_mask(w, fwd, perm, P24, criterion.value)
+
     def test_gradient_criterion_needs_gradient(self):
         w = np.random.default_rng(0).normal(size=(4, 4))
         fwd = forward_mask(w, P24)
@@ -1535,7 +1546,10 @@ class TestPublicChecks:
                 ),
                 r"gradient shape \(4, 4\)",
             ),
-            (lambda w, nan, fwd: backward_mask(w, fwd, None, P24, "weight-magnitude"), "unknown criterion"),
+            (
+                lambda w, nan, fwd: backward_mask(w, fwd, None, P24, "weight_magnitude"),
+                "'weight_magnitude' is not a valid BinarizationCriterion",
+            ),
             (lambda w, nan, fwd: count_eligible_blocks(nan, P24), "non-finite"),
         ],
     )

@@ -129,7 +129,18 @@ class TestLayerConstruction:
         with pytest.raises(ValueError, match="needs matrix rows divisible by 4, got 6"):
             refresh_masks(layer, 1, cfg)
         assert layer.fwd_mask is built and not built.bits.flags.writeable
-        assert layer.perm is perm and layer.bwd_mask is None
+        assert layer.perm is perm and layer.bwd_mask is None and layer._bwd_weights is None
+
+        # a bi-mask layer whose backward kernel raises keeps its masks and operand
+        layer = SparseLinearLayer(np.random.default_rng(9).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        built = (layer.fwd_mask, layer.bwd_mask, layer.perm, layer.masked_weights(), layer._bwd_weights)
+        layer.prev_weight_grad = np.ones((8, 4))
+        with pytest.raises(ValueError, match=r"gradient shape \(8, 4\)"):
+            refresh_masks(layer, 1, cfg, BinarizationCriterion.GRADIENT_MAGNITUDE)
+        after = (layer.fwd_mask, layer.bwd_mask, layer.perm, layer.masked_weights(), layer._bwd_weights)
+        assert all(a is b for a, b in zip(after, built))
+        g = np.random.default_rng(10).normal(size=(8, 3))
+        assert np.array_equal(backward_bimask(g, layer), built[4].T @ g[built[2]])
 
     def test_a_refresh_to_dense_drops_the_forward_mask(self):
         rng = np.random.default_rng(10)
@@ -179,7 +190,7 @@ class TestLayerConstruction:
         assert np.array_equal(layer.perm, np.arange(8)[::-1])
 
     def test_any_perm_assignment_leaves_the_backward_mask_stale(self):
-        # staleness is decided by identity, so equal values count as a change
+        # any assignment drops the backward operand, so equal values count as a change
         rng = np.random.default_rng(5)
         layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
         g = rng.normal(size=(8, 2))
@@ -494,6 +505,28 @@ class TestRefreshMasks:
         refresh_masks(reference, 1, cfg, BinarizationCriterion.WEIGHT_MAGNITUDE)
         assert np.array_equal(layer.bwd_mask.bits, reference.bwd_mask.bits)
 
+    @pytest.mark.parametrize("criterion", list(BinarizationCriterion), ids=lambda c: c.value)
+    def test_criterion_given_by_its_value(self, criterion):
+        rng = np.random.default_rng(18)
+        w, grad = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        cfg = TrainConfig(epochs=1, batch_size=1, delta_t=2, k=4, seed=3)
+        layers = []
+        for given in (criterion, criterion.value):
+            layer = SparseLinearLayer(w, P24, Strategy.BI_MASK, salt=1)
+            layer.prev_weight_grad = grad
+            for iteration in (1, 2):  # the second one searches
+                refresh_masks(layer, iteration, cfg, given)
+            layers.append(layer)
+        member, value = layers
+        assert np.array_equal(value.perm, member.perm)
+        assert np.array_equal(value.bwd_mask.bits, member.bwd_mask.bits)
+        assert np.array_equal(value._bwd_weights, member._bwd_weights)
+
+    def test_bogus_criterion_value_is_refused(self):
+        layer = SparseLinearLayer(np.random.default_rng(19).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        with pytest.raises(ValueError, match="'weight_magnitude' is not a valid BinarizationCriterion"):
+            refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0), "weight_magnitude")
+
     def test_transposable_strategy_refreshes_every_iteration(self):
         rng = np.random.default_rng(17)
         layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.TRANSPOSABLE)
@@ -585,9 +618,28 @@ class TestRefreshAgainstOracle:
         assert np.array_equal(layer.masked_weights(), layer.fwd_mask.apply(layer.w))
         assert not np.array_equal(layer.masked_weights(), before)
         if strategy is Strategy.BI_MASK:
+            # the backward operand is built only by a refresh, so until then the product refuses
             g = rng.normal(size=(8, 3))
+            with pytest.raises(StaleMaskError, match="stale"):
+                backward_bimask(g, layer)
+            refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, seed=0))
             perm = layer.perm
             assert np.array_equal(backward_bimask(g, layer), (layer.bwd_mask.bits * layer.w[perm]).T @ g[perm])
+
+    @pytest.mark.parametrize("delta_t", [10**9, 1], ids=["no-search", "search"])
+    def test_the_backward_operand_is_read_only_and_its_own_array(self, delta_t):
+        rng = np.random.default_rng(27)
+        layer = SparseLinearLayer(rng.normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        layer.perm = rng.permutation(8)
+        layer.w = rng.normal(size=(8, 8))
+        refresh_masks(layer, 1, TrainConfig(epochs=1, batch_size=1, delta_t=delta_t, k=4, seed=0))
+        operand, masked = layer._bwd_weights, layer.masked_weights()
+        assert np.array_equal(operand, layer.bwd_mask.bits * masked[layer.perm])
+        assert operand.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            operand[0, 0] = 1.0
+        assert not np.shares_memory(operand, masked)
+        assert not np.shares_memory(operand, layer.w)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_callers_arrays_do_not_alias_the_weights(self, strategy):
@@ -879,6 +931,24 @@ class TestTrain:
             assert not any(np.shares_memory(w, other) for other, _ in seen[i + 1 :])
         for layer in layers:
             assert not any(np.shares_memory(layer.w, w) for w, _ in seen[-len(layers) :])
+
+    @pytest.mark.parametrize("criterion", list(BinarizationCriterion), ids=lambda c: c.value)
+    def test_criterion_given_by_its_value(self, criterion):
+        data = blob_data(np.random.default_rng(26))
+        cfg = TrainConfig(epochs=2, batch_size=16, delta_t=3, k=4, warmup_epochs=1, seed=4)
+        runs = [train(init_layers([8, 8, 4], P24, Strategy.BI_MASK, seed=4), data, cfg, given)
+                for given in (criterion, criterion.value)]
+        (member_layers, member_trace), (value_layers, value_trace) = runs
+        assert value_trace.steps == member_trace.steps
+        for a, b in zip(value_layers, member_layers):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.perm, b.perm)
+            assert np.array_equal(a.bwd_mask.bits, b.bwd_mask.bits)
+
+    def test_bogus_criterion_value_is_refused(self):
+        layers = init_layers([8, 8, 4], P24, Strategy.BI_MASK, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(ValueError, match="'rand' is not a valid BinarizationCriterion"):
+            train(layers, blob_data(np.random.default_rng(27)), cfg, "rand")
 
     def test_metrics_row_count(self):
         rng = np.random.default_rng(23)
