@@ -103,13 +103,22 @@ def _load_idx(path, magic: int) -> np.ndarray:
 
 
 def _save_idx(path, array: np.ndarray, magic: int) -> None:
-    """Write ``array`` as an IDX ubyte file under ``magic``, whose low byte is its rank."""
-    array = np.asarray(array, dtype=np.uint8)
+    """Write ``array`` as an IDX ubyte file under ``magic``, whose low byte is its rank.
+
+    Every entry must be an integer in 0..255, in any dtype; an entry that a
+    uint8 cast would wrap or truncate raises ValueError instead.
+    """
+    array = np.asarray(array)
     if array.ndim != magic & 0xFF:
         raise ValueError(f"IDX magic {magic} stores {magic & 0xFF}-D arrays, got shape {array.shape}")
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats are counted below
+        data = array.astype(np.uint8)
+    bad = int(np.count_nonzero(data != array))  # compared in a dtype that holds both
+    if bad:
+        raise ValueError(f"{path}: {bad} of {array.size} entries are not integers in 0..255")
     with open(path, "wb") as fh:
-        fh.write(struct.pack(f">{1 + array.ndim}i", magic, *array.shape))
-        fh.write(array.tobytes())
+        fh.write(struct.pack(f">{1 + data.ndim}i", magic, *data.shape))
+        fh.write(data.tobytes())
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -149,20 +149,23 @@ def _top_n_ranks(keys: np.ndarray, n: int) -> np.ndarray:
     An entry's rank is the number of block entries that beat it: strictly
     greater, or equal at a lower index. That is its place in a stable
     descending sort, -inf included, and rank < n keeps the top n. Rank i
-    starts at m - 1 - i, as if every later entry beat it; the pass for i
-    compares it with the later entries at once, adds one to each it beats
-    and takes that count off its own rank, m (m - 1) / 2 compares in all.
-    The compares run along the last axis, so that axis should be contiguous.
+    starts at m - 1 - i, as if every later entry beat it. The pass for
+    offset d compares every pair (i, i + d) at once, one diagonal of the
+    pair table: where entry i beats entry i + d, rank i + d gains one and
+    rank i gives back one it was lent. That is m (m - 1) / 2 compares in
+    all, in three elementwise calls per offset and no reductions. A rank
+    gives back at most the m - 1 - i it was lent and gains at most i, so it
+    stays in [0, m - 1] at every step and its counter never wraps. The
+    compares run along the last axis, so that axis should be contiguous.
     The result has the layout of ``keys``.
     """
     m = keys.shape[0]
     rank = np.empty_like(keys, dtype=np.min_scalar_type(m - 1))
     rank[...] = np.arange(m - 1, -1, -1, dtype=rank.dtype).reshape(-1, *[1] * (keys.ndim - 1))
-    for i in range(m - 1):
-        beaten = (keys[i] >= keys[i + 1 :]).view(np.uint8)  # as uint8, the adds need no cast
-        rank[i + 1 :] += beaten
-        # the last pass compares one row, which is its own count
-        rank[i] -= beaten[0] if i == m - 2 else beaten.sum(axis=0, dtype=rank.dtype)
+    for d in range(1, m):
+        beaten = (keys[:-d] >= keys[d:]).view(np.uint8)  # as uint8, the adds need no cast
+        rank[d:] += beaten
+        rank[:-d] -= beaten
     return (rank < n).view(np.uint8)
 
 
@@ -172,7 +175,8 @@ def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     Axis 0 runs along each block of m keys, and the result has the layout
     of ``keys``. Ties keep the lowest index, as in a stable descending sort.
     One argmax per block (``_top_one``) serves n = 1 in any layout; the
-    pairwise ranks serve every other n and want the last axis contiguous.
+    ranks by offset diagonals (``_top_n_ranks``) serve every other n and
+    want the last axis contiguous.
     """
     return _top_one(keys) if n == 1 else _top_n_ranks(keys, n)
 
@@ -194,15 +198,17 @@ def _forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
 
     ``w`` must be a finite C-contiguous float64 matrix, as ``matrix()``
     leaves it; columns that do not split into blocks of M raise ValueError.
+    The bits are the transpose of ``_top_n``'s block-major result, made
+    C-ordered: one copy from the ranks, and none at 1:M, where the argmax
+    result has the transposed layout of the keys and its transpose is
+    already the rows.
     """
     n, m = pattern.n, pattern.m
     _check_shape(w.shape, m, MaskDirection.FORWARD)
-    rows, cols = w.shape
     # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
     # of the rows for _top_one, whose argmax reads each block contiguously
     keys = np.abs(w.reshape(-1, m).T, order="K" if n == 1 else "C")
-    bits = np.empty((rows, cols), dtype=np.uint8)
-    bits.reshape(-1, m)[...] = _top_n(keys, n).T
+    bits = np.ascontiguousarray(_top_n(keys, n).T).reshape(w.shape)
     return _built_mask(MaskDirection.FORWARD, bits, pattern)
 
 
@@ -288,6 +294,7 @@ def _backward_mask(
     *,
     gradient: np.ndarray | None = None,
     seed: int | None = None,
+    masked_rows: np.ndarray | None = None,
 ) -> Mask:
     """``backward_mask`` of arguments that already passed its checks.
 
@@ -296,16 +303,35 @@ def _backward_mask(
     rows, never None; ``seed`` given on a seeded criterion. Rows that do not
     split into blocks of M raise ValueError here, and the gradient
     criterion's ``gradient`` is checked here too, since no caller checks it.
+
+    A mask refresh has already gathered the permuted masked weights
+    ``(fwd.bits * w)[perm]`` and passes them, C-contiguous, as
+    ``masked_rows``. Then the weight keys are one absolute value of those
+    rows, swapped into slot-major order, and only the forward bits are
+    gathered, in permuted row order. Without them, as from
+    ``backward_mask``, the rows of ``w`` are gathered once straight into
+    slot-major order and the slot-major forward bits applied in place.
+    Either way the keys are the same numbers, and so are the bits.
     """
     n, m = pattern.n, pattern.m
     _check_shape(w.shape, m, MaskDirection.BACKWARD)
     rows, cols = w.shape
     blocks = rows // m
     order = perm.reshape(blocks, m).T.ravel()
-    fwd_slots = fwd.bits[order].reshape(m, blocks, cols)
+    if masked_rows is None:
+        fwd_slots = fwd.bits[order].reshape(m, blocks, cols)
+        fwd_rows = fwd_slots.swapaxes(0, 1)
+    else:
+        fwd_rows = fwd.bits[perm].reshape(blocks, m, cols)
+        fwd_slots = fwd_rows.swapaxes(0, 1)
 
-    if criterion is BinarizationCriterion.WEIGHT_MAGNITUDE:
-        keys = _masked_magnitudes(w, order, fwd_slots)
+    if criterion in (BinarizationCriterion.WEIGHT_MAGNITUDE, BinarizationCriterion.MULTINOMIAL_SAMPLING):
+        if masked_rows is None:
+            keys = _masked_magnitudes(w, order, fwd_slots)
+        else:
+            keys = np.abs(masked_rows.reshape(blocks, m, cols).swapaxes(0, 1), order="C")
+        if criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
+            keys = _sampling_keys(keys, np.random.default_rng(seed))
     elif criterion is BinarizationCriterion.GRADIENT_MAGNITUDE:
         if gradient is None:
             raise ValueError("gradient-magnitude criterion needs a gradient matrix")
@@ -313,15 +339,12 @@ def _backward_mask(
         if gradient.shape != w.shape:
             raise ValueError(f"gradient shape {gradient.shape} does not match matrix {w.shape}")
         keys = _masked_magnitudes(gradient, order, fwd_slots)
-    elif criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
-        keys = _sampling_keys(_masked_magnitudes(w, order, fwd_slots), np.random.default_rng(seed))
     elif criterion is BinarizationCriterion.RANDOM:
         keys = np.random.default_rng(seed).random((blocks, m, cols)).swapaxes(0, 1)
     else:  # pragma: no cover
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    bits = np.empty((blocks, m, cols), dtype=np.uint8)
-    np.multiply(_top_n(keys, n).swapaxes(0, 1), fwd_slots.swapaxes(0, 1), out=bits)
+    bits = np.multiply(_top_n(keys, n).swapaxes(0, 1), fwd_rows, order="C")
     return _built_mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)
 
 

@@ -286,12 +286,13 @@ def _build_masks(
     On bi-mask, a given ``k`` first re-searches the row permutation (seeded
     from ``entropy``), and the backward mask is built from the incumbent one;
     its gradient criterion falls back to weight magnitude until the layer has
-    a weight gradient. Its eligible blocks are counted on the permuted rows
-    of the masked weights, which the backward mask then multiplies in place
-    into the backward operand. Everything is built into locals and committed
-    only after every kernel and the search have succeeded; the slots the
-    strategy does not build become None, and flips count only between masks
-    that exist before and after.
+    a weight gradient. The permuted rows of the masked weights are gathered
+    once: the backward mask builds its keys from them (``masked_rows``), its
+    eligible blocks are counted on them, and then its bits are multiplied
+    into them in place as the backward operand. Everything is built into
+    locals and committed only after every kernel and the search have
+    succeeded; the slots the strategy does not build become None, and flips
+    count only between masks that exist before and after.
     """
     fwd = bwd = masked = operand = None
     perm = layer.perm
@@ -316,10 +317,11 @@ def _build_masks(
             stats = RefreshStats(searched=True, search_seconds=report.elapsed)
         if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
             criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
-        bwd = backward_mask(
-            layer.w, fwd, perm, layer.pattern, criterion, gradient=layer.prev_weight_grad, seed=seeds[1]
-        )
         operand = masked[perm]
+        bwd = backward_mask(
+            layer.w, fwd, perm, layer.pattern, criterion,
+            gradient=layer.prev_weight_grad, seed=seeds[1], masked_rows=operand
+        )
         stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(operand, layer.pattern)
         operand = _read_only(np.multiply(operand, bwd.bits, out=operand))  # fresh rows: bits * rows in place
 

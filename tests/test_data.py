@@ -138,6 +138,34 @@ class TestIdx:
         with pytest.raises(ValueError, match="1-D"):
             save_idx_labels(tmp_path / "grid", np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "save, values, bad",
+        [
+            (save_idx_labels, np.array([300, -1, 2]), 2),  # a uint8 cast wraps these to 44 and 255
+            (save_idx_labels, np.array([256, 0, 255]), 1),
+            (save_idx_labels, np.array([-1, -256, 7]), 2),
+            (save_idx_images, np.array([[[1.7, 255.9]]]), 2),  # a cast truncates these to 1 and 255
+            (save_idx_images, np.array([[[0.5, 3.0], [np.nan, np.inf]]]), 3),
+        ],
+        ids=["wrap", "just-over", "negative", "fractional", "nan-inf"],
+    )
+    def test_writer_refuses_values_a_byte_cannot_hold(self, tmp_path, save, values, bad):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            save(path, values)
+        assert str(err.value) == f"{path}: {bad} of {values.size} entries are not integers in 0..255"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_writer_round_trips_valid_values_of_any_dtype(self, tmp_path, dtype):
+        images = np.arange(2 * 16 * 8).reshape(2, 16, 8) % 256
+        labels = np.array([0, 255, 3])
+        save_idx_images(tmp_path / "imgs", images.astype(dtype))
+        save_idx_labels(tmp_path / "labels", labels.astype(dtype))
+        assert np.array_equal(load_idx_images(tmp_path / "imgs"), images)
+        assert np.array_equal(load_idx_labels(tmp_path / "labels"), labels)
+        assert load_idx_images(tmp_path / "imgs").dtype == np.uint8
+
     def test_count_mismatch(self, tmp_path):
         images_path, labels_path, _, _ = make_fixture(tmp_path)
         bad_labels = tmp_path / "bad_labels"

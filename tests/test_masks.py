@@ -460,6 +460,22 @@ class TestTopNKernel:
         assert np.array_equal(_top_n_ranks(keys.copy(), p.n).T, top_n_sort_oracle(keys.T, p.n))
         assert np.array_equal(column_block_top_n(keys, p.n, p.m), column_block_sort_oracle(keys, p.n, p.m))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 128, 255, 256])
+    def test_uint8_ranks_at_m_256(self, n):
+        # at M = 256 a rank reaches 255, the top of the uint8 counter the
+        # kernel picks; the blocks drive counters to both ends of it
+        m = 256
+        rng = np.random.default_rng(256 + n)
+        heavy = np.full(m, -np.inf)
+        heavy[rng.choice(m, 5, replace=False)] = [-1.0, 0.0, -0.0, 2.0, 2.0]
+        keys = np.stack([np.arange(m, dtype=np.float64), np.arange(m, 0, -1.0), np.full(m, 0.5), heavy])
+        expected = top_n_sort_oracle(keys, n)
+        assert np.array_equal(_top_n_ranks(keys.T.copy(), n).T, expected)
+        assert np.array_equal(column_block_top_n(keys.T.copy(), n, m), column_block_sort_oracle(keys.T, n, m))
+        if n:  # the forward mask ranks the finite blocks as its |w|
+            p = NmPattern(n, m)
+            assert np.array_equal(forward_mask(keys[:3], p).bits, forward_sort_oracle(keys[:3], p))
+
 
 class TestSamplingKeys:
     def test_overflowing_blocks_keep_every_positive_entry(self):
@@ -1485,6 +1501,29 @@ class TestUncheckedEntryPoints:
                 assert Mask(public.direction, bits, pattern).bits is bits
         masked = fwd.apply(w)[perm]
         assert _count_eligible(masked, pattern) == count_eligible_blocks(masked, pattern)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        entry_point_cases(),
+        st.sampled_from(list(BinarizationCriterion)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_backward_keys_from_the_refresh_rows(self, case, criterion, seed, one_per_block):
+        # the refresh hands the kernel the rows it gathered, (fwd.bits * w)[perm],
+        # whose masked-out entries are signed zeros; the keys built from them
+        # must be the public function's, bit for bit, at 1:M and at N >= 2
+        w, gradient, perm, pattern = case
+        if one_per_block:
+            pattern = NmPattern(1, pattern.m)
+        w[(w == 0) & (np.random.default_rng(seed).random(w.shape) < 0.5)] = -0.0
+        fwd = forward_mask(w, pattern)
+        rows = fwd.apply(w)[perm]
+        public = backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed)
+        built = _backward_mask(w, fwd, perm, pattern, criterion, gradient=gradient, seed=seed, masked_rows=rows)
+        assert np.array_equal(built.bits, public.bits)
+        assert built.bits.dtype == np.uint8 and built.bits.flags.c_contiguous
+        assert np.array_equal(rows, fwd.apply(w)[perm])  # the rows are read, not written
 
     @pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=str)
     def test_refuse_blocks_that_do_not_tile_the_matrix(self, shape):

@@ -1,0 +1,52 @@
+"""Smoke test of ``tools/step_ab.py`` on a tiny config."""
+
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def step_ab():
+    spec = importlib.util.spec_from_file_location("step_ab", ROOT / "tools" / "step_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_round_times_both_checkouts(step_ab):
+    # 16 classes x 2 samples is one batch of 32, so one step, which also searches
+    tiny = (step_ab.StepConfig("2:4", seed=0, hidden=8, per_class=2, epochs=1, delta_t=1, k=2),)
+    out = io.StringIO()
+    result = step_ab.compare(ROOT / "src", ROOT / "src", rounds=1, configs=tiny, out=out)
+    assert result["rounds"] == 1 and result["b_wins"] in (0, 1)
+    assert result["a_us"] > 0 and result["b_us"] > 0
+    assert result["ratio"] == pytest.approx(result["b_us"] / result["a_us"])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 3 and lines[1].split()[0] == "1"
+    assert lines[-1].endswith(f"B faster in {result['b_wins']} of 1 rounds")
+    # the two checkouts load as separate packages
+    assert sys.modules["nm_sparse_kit_a"] is not sys.modules["nm_sparse_kit_b"]
+    assert sys.modules["nm_sparse_kit_a"].training is not sys.modules["nm_sparse_kit_b"].training
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "usage: python3 tools/step_ab.py <src-a> <src-b>"),
+        (["src"], "usage: python3 tools/step_ab.py <src-a> <src-b>"),
+        (["src", "src", "0"], "rounds must be an integer >= 1, got '0'"),
+        (["src", "src", "2.5"], "rounds must be an integer >= 1, got '2.5'"),
+        (["src", "tests", "1"], "no nm_sparse_kit package under tests"),
+    ],
+    ids=["none", "one-path", "zero-rounds", "fractional-rounds", "no-package"],
+)
+def test_bad_arguments_exit_2_without_timing(step_ab, argv, message, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert step_ab.main(argv) == 2
+    assert message in capsys.readouterr().err

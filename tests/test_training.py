@@ -641,6 +641,31 @@ class TestRefreshAgainstOracle:
         assert not np.shares_memory(operand, masked)
         assert not np.shares_memory(operand, layer.w)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_refresh_backward_mask_is_the_public_one(self, data):
+        # the refresh builds the backward keys from the rows it gathered; the
+        # public function gathers w again, and the two must agree bit for bit
+        m = data.draw(st.integers(2, 16))
+        n = data.draw(st.sampled_from([1, data.draw(st.integers(2, m))]))
+        pattern = NmPattern(n, m)
+        shape = (m * data.draw(st.integers(1, 2)), m * data.draw(st.integers(1, 2)))
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300])
+        w = data.draw(hnp.arrays(np.float64, shape, elements=values))
+        gradient = data.draw(hnp.arrays(np.float64, shape, elements=values))
+        criterion = data.draw(st.sampled_from(list(BinarizationCriterion)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        layer = SparseLinearLayer(w, pattern, Strategy.BI_MASK, salt=int(rng.integers(100)))
+        layer.perm = rng.permutation(shape[0])
+        layer.prev_weight_grad = gradient
+        cfg = TrainConfig(epochs=1, batch_size=1, delta_t=10**9, seed=int(rng.integers(100)))
+        refresh_masks(layer, 1, cfg, criterion)
+        seed = int(np.random.SeedSequence([cfg.seed, 1, layer.salt]).generate_state(2)[1])
+        public = backward_mask(w, layer.fwd_mask, layer.perm, pattern, criterion, gradient=gradient, seed=seed)
+        bits = layer.bwd_mask.bits
+        assert np.array_equal(bits, public.bits)
+        assert bits.dtype == np.uint8 and bits.flags.c_contiguous and not bits.flags.writeable
+
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_callers_arrays_do_not_alias_the_weights(self, strategy):
         rng = np.random.default_rng(26)
