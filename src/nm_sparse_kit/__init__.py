@@ -55,6 +55,7 @@ from .permute import (
 from .tensorops import NmPattern, load_matrix, matrix, save_matrix
 from .training import (
     DivergenceError,
+    LayerStep,
     SparseLinearLayer,
     StaleMaskError,
     StepMetrics,

@@ -85,6 +85,29 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _eligible_ratio(eligible: int, total: int) -> float:
+    # strategies with an exact backward path report no blocks and lose nothing
+    return eligible / total if total else 1.0
+
+
+@dataclass
+class LayerStep:
+    """One layer's record of one step: ``refresh_masks`` fills it, and on Bi-Mask ``train()``
+    sets the squared error (``gap_num``) and squared exact norm (``gap_den``) of its input gradient."""
+
+    mask_flip_count: int = 0
+    eligible_blocks: int = 0
+    total_blocks: int = 0
+    searched: bool = False
+    search_seconds: float = 0.0
+    gap_num: float = 0.0
+    gap_den: float = 0.0
+
+    @property
+    def eligible_block_ratio(self) -> float:
+        return _eligible_ratio(self.eligible_blocks, self.total_blocks)
+
+
 @dataclass
 class StepMetrics:
     iteration: int
@@ -93,29 +116,41 @@ class StepMetrics:
     eligible_block_ratio: float
     mask_flip_count: int
 
+    @classmethod
+    def of(cls, iteration: int, loss: float, records: list[LayerStep]) -> StepMetrics:
+        """The step's totals over its layer records, given in layer order.
 
-@dataclass
-class RefreshStats:
-    """Partial step metrics of one mask refresh, or summed over a step's layers."""
-
-    mask_flip_count: int = 0
-    eligible_blocks: int = 0
-    total_blocks: int = 0
-    searched: bool = False
-    search_seconds: float = 0.0
-
-    @property
-    def eligible_block_ratio(self) -> float:
-        # strategies with an exact backward path report no blocks and lose nothing
-        return self.eligible_blocks / self.total_blocks if self.total_blocks else 1.0
+        The gap terms add by ``+=``, top layer first, as ``train()`` computes
+        them; ``sum()`` compensates floats from Python 3.12 on.
+        """
+        num = den = 0.0
+        flips = eligible = total = 0
+        for r in reversed(records):
+            num += r.gap_num
+            den += r.gap_den
+            flips += r.mask_flip_count
+            eligible += r.eligible_blocks
+            total += r.total_blocks
+        return cls(
+            iteration=iteration,
+            loss=loss,
+            grad_gap_l2=math.sqrt(num) / math.sqrt(den) if den > 0 else 0.0,
+            eligible_block_ratio=_eligible_ratio(eligible, total),
+            mask_flip_count=flips,
+        )
 
 
 @dataclass
 class TrainingTrace:
-    """Per-iteration metrics plus aggregate permutation-search accounting."""
+    """``layer_steps``: each step's ``LayerStep`` records, in layer order; ``steps``: ``StepMetrics.of`` them."""
 
     steps: list[StepMetrics] = field(default_factory=list)
-    search_seconds_total: float = 0.0
+    layer_steps: list[list[LayerStep]] = field(default_factory=list)
+
+    @property
+    def search_seconds_total(self) -> float:
+        """Wall-clock seconds of every permutation search of the run."""
+        return sum((r.search_seconds for records in self.layer_steps for r in records), 0.0)
 
     def __iter__(self):
         return iter(self.steps)
@@ -280,8 +315,8 @@ def _build_masks(
     criterion: BinarizationCriterion,
     k: int | None = None,
     entropy: list[int] | None = None,
-) -> RefreshStats:
-    """The strategy's masks from the layer's current weights, with flips against the old ones.
+) -> LayerStep:
+    """The strategy's masks from the layer's current weights, and the layer's step record.
 
     On bi-mask, a given ``k`` first re-searches the row permutation (seeded
     from ``entropy``), and the backward mask is built from the incumbent one;
@@ -292,7 +327,8 @@ def _build_masks(
     into them in place as the backward operand. Everything is built into
     locals and committed only after every kernel and the search have
     succeeded; the slots the strategy does not build become None, and flips
-    count only between masks that exist before and after.
+    count only between masks that exist before and after. Blocks are counted
+    on Bi-Mask only, and the record's gap terms stay 0.0.
     """
     fwd = bwd = masked = operand = None
     perm = layer.perm
@@ -301,7 +337,7 @@ def _build_masks(
     elif layer.strategy is not Strategy.DENSE:
         fwd = forward_mask(layer.w, layer.pattern)
 
-    stats = RefreshStats()
+    record = LayerStep()
     if layer.strategy is Strategy.BI_MASK:
         masked = _read_only(fwd.bits * layer.w)
         # a seed sequence costs about a tenth of a small layer's refresh, so
@@ -314,7 +350,7 @@ def _build_masks(
         if k is not None:
             report = search_permutation(masked, layer.pattern, k, current=perm, seed=seeds[0])
             perm = report.chosen
-            stats = RefreshStats(searched=True, search_seconds=report.elapsed)
+            record = LayerStep(searched=True, search_seconds=report.elapsed)
         if criterion is BinarizationCriterion.GRADIENT_MAGNITUDE and layer.prev_weight_grad is None:
             criterion = BinarizationCriterion.WEIGHT_MAGNITUDE
         operand = masked[perm]
@@ -322,7 +358,7 @@ def _build_masks(
             layer.w, fwd, perm, layer.pattern, criterion,
             gradient=layer.prev_weight_grad, seed=seeds[1], masked_rows=operand
         )
-        stats.eligible_blocks, stats.total_blocks = count_eligible_blocks(operand, layer.pattern)
+        record.eligible_blocks, record.total_blocks = count_eligible_blocks(operand, layer.pattern)
         operand = _read_only(np.multiply(operand, bwd.bits, out=operand))  # fresh rows: bits * rows in place
 
     if perm is not layer.perm:
@@ -331,10 +367,10 @@ def _build_masks(
         if new is not None:
             _read_only(new.bits)
             if old is not None:
-                stats.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
+                record.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
     layer._fwd_mask, layer._bwd_mask = fwd, bwd
     layer._masked, layer._bwd_weights = masked, operand
-    return stats
+    return record
 
 
 def refresh_masks(
@@ -342,13 +378,14 @@ def refresh_masks(
     iteration: int,
     config: TrainConfig,
     criterion: BinarizationCriterion = BinarizationCriterion.WEIGHT_MAGNITUDE,
-) -> RefreshStats:
+) -> LayerStep:
     """Recompute the layer's masks for one (1-based) training iteration.
 
     Every call rebuilds the masks; on the bi-mask strategy the row
     permutation is re-searched only when ``iteration % delta_t == 0``.
     Deterministic given (config.seed, iteration, layer.salt). ``criterion``
-    may be a member or its value; anything else raises ValueError.
+    may be a member or its value; anything else raises ValueError. Returns
+    the layer's ``LayerStep`` record for the iteration, gap terms at 0.0.
     """
     k = config.k if iteration % config.delta_t == 0 else None
     return _build_masks(layer, BinarizationCriterion(criterion), k, [config.seed, iteration, layer.salt])
@@ -459,16 +496,8 @@ def train(
             x0 = features[:, idx]
             y = labels[idx]
 
-            step = RefreshStats()
-            for layer in layers:
-                stats = refresh_masks(layer, t, config, criterion)
-                step.mask_flip_count += stats.mask_flip_count
-                step.eligible_blocks += stats.eligible_blocks
-                step.total_blocks += stats.total_blocks
-                trace.search_seconds_total += stats.search_seconds
-
+            records = [refresh_masks(layer, t, config, criterion) for layer in layers]
             lr = lr_at(t, total_iterations, warmup_iterations, config.peak_lr)
-            gap_num = gap_den = 0.0
             # overflow here is the divergence guard's job, not a warning's
             with np.errstate(over="ignore", invalid="ignore"):
                 inputs = _layer_inputs(layers, x0)
@@ -487,8 +516,8 @@ def train(
                         g_x = backward_bimask(g, layer)
                         g_ideal = backward_exact(g, layer)
                         err = g_x - g_ideal
-                        gap_num += float(np.square(err, out=err).sum())
-                        gap_den += float(np.square(g_ideal, out=g_ideal).sum())
+                        records[i].gap_num = float(np.square(err, out=err).sum())
+                        records[i].gap_den = float(np.square(g_ideal, out=g_ideal).sum())
                     else:
                         g_x = backward_exact(g, layer)
                     if i > 0:
@@ -504,14 +533,6 @@ def train(
                     np.multiply(v, lr, out=buf)
                     layer._take_update(layer.w - buf, t)
 
-            gap = math.sqrt(gap_num) / math.sqrt(gap_den) if gap_den > 0 else 0.0
-            trace.steps.append(
-                StepMetrics(
-                    iteration=t,
-                    loss=loss,
-                    grad_gap_l2=gap,
-                    eligible_block_ratio=step.eligible_block_ratio,
-                    mask_flip_count=step.mask_flip_count,
-                )
-            )
+            trace.layer_steps.append(records)
+            trace.steps.append(StepMetrics.of(t, loss, records))
     return layers, trace

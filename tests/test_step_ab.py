@@ -42,9 +42,10 @@ def test_one_round_times_both_checkouts(step_ab):
         (["src"], "usage: python3 tools/step_ab.py <src-a> <src-b>"),
         (["src", "src", "0"], "rounds must be an integer >= 1, got '0'"),
         (["src", "src", "2.5"], "rounds must be an integer >= 1, got '2.5'"),
+        (["src", "src", "²"], "rounds must be an integer >= 1, got '²'"),
         (["src", "tests", "1"], "no nm_sparse_kit package under tests"),
     ],
-    ids=["none", "one-path", "zero-rounds", "fractional-rounds", "no-package"],
+    ids=["none", "one-path", "zero-rounds", "fractional-rounds", "superscript-rounds", "no-package"],
 )
 def test_bad_arguments_exit_2_without_timing(step_ab, argv, message, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)

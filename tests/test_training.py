@@ -13,6 +13,7 @@ from nm_sparse_kit.permute import count_eligible_blocks, search_permutation
 from nm_sparse_kit.tensorops import NmPattern
 from nm_sparse_kit.training import (
     DivergenceError,
+    LayerStep,
     SparseLinearLayer,
     StaleMaskError,
     StepMetrics,
@@ -715,7 +716,9 @@ def train_oracle(layers, data, config, criterion):
     """train() as two phases: every layer's products first, then every update.
 
     Written over the public products, with the step metrics summed the
-    direct way. Mutates the layers as train() does; returns the StepMetrics.
+    direct way. Mutates the layers as train() does; returns the StepMetrics
+    and, per step, each layer's (flips, eligible, total, searched, num, den),
+    with num and den 0.0 off Bi-Mask.
     """
     features, labels = np.ascontiguousarray(data.x_train.T), data.y_train
     per_epoch = len(labels) // config.batch_size
@@ -723,7 +726,7 @@ def train_oracle(layers, data, config, criterion):
     warmup_iterations = config.warmup_epochs * per_epoch
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xDA7A]))
     velocities = [np.zeros_like(layer.w) for layer in layers]
-    steps, t = [], 0
+    steps, layer_steps, t = [], [], 0
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(labels))
         for b in range(per_epoch):
@@ -736,13 +739,15 @@ def train_oracle(layers, data, config, criterion):
                 hs.append(relu(zs[-1]) if i < len(layers) - 1 else zs[-1])
             loss, g = softmax_cross_entropy(hs[-1], labels[idx])
             grads = [None] * len(layers)
+            nums, dens = [0.0] * len(layers), [0.0] * len(layers)
             num = den = 0.0
             for i in reversed(range(len(layers))):
                 grads[i] = weight_gradient(g, hs[i], layers[i])
                 if layers[i].strategy is Strategy.BI_MASK:
                     g_x, g_ideal = backward_bimask(g, layers[i]), backward_exact(g, layers[i])
-                    num += float(((g_x - g_ideal) ** 2).sum())
-                    den += float((g_ideal**2).sum())
+                    nums[i], dens[i] = float(((g_x - g_ideal) ** 2).sum()), float((g_ideal**2).sum())
+                    num += nums[i]
+                    den += dens[i]
                 else:
                     g_x = backward_exact(g, layers[i])
                 g = g_x * (zs[i - 1] > 0) if i > 0 else None
@@ -761,7 +766,12 @@ def train_oracle(layers, data, config, criterion):
                 eligible_block_ratio=eligible / blocks if blocks else 1.0,
                 mask_flip_count=sum(s.mask_flip_count for s in stats),
             ))
-    return steps
+            searched = [layer.strategy is Strategy.BI_MASK and t % config.delta_t == 0 for layer in layers]
+            layer_steps.append([
+                (s.mask_flip_count, s.eligible_blocks, s.total_blocks, found, n, d)
+                for s, found, n, d in zip(stats, searched, nums, dens)
+            ])
+    return steps, layer_steps
 
 
 TRAIN_CASES = [(s, BinarizationCriterion.WEIGHT_MAGNITUDE) for s in Strategy if s is not Strategy.BI_MASK]
@@ -778,13 +788,37 @@ class TestTrainAgainstOracle:
                           peak_lr=0.1, weight_decay=1e-3, seed=4)
         got, trace = train(init_layers([16, 32, 16], pattern, strategy, seed=4), data, cfg, criterion)
         want = init_layers([16, 32, 16], pattern, strategy, seed=4)
-        assert trace.steps == train_oracle(want, data, cfg, criterion)
+        want_steps, want_layer_steps = train_oracle(want, data, cfg, criterion)
+        assert trace.steps == want_steps
+        assert [
+            [(r.mask_flip_count, r.eligible_blocks, r.total_blocks, r.searched, r.gap_num, r.gap_den) for r in records]
+            for records in trace.layer_steps
+        ] == want_layer_steps
         for a, b in zip(got, want):
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.perm, b.perm)
             for mask_a, mask_b in ((a.fwd_mask, b.fwd_mask), (a.bwd_mask, b.bwd_mask)):
                 assert (mask_a is None) == (mask_b is None)
                 assert mask_a is None or np.array_equal(mask_a.bits, mask_b.bits)
+
+
+class TestStepMetricsOf:
+    def test_gap_terms_add_top_layer_first(self):
+        # top layer first, 3.0 absorbs each 1.5e-16; added forward, or by a
+        # compensated sum, the two reach one ulp of 3.0 (at 1.0 the square
+        # root would round that ulp away)
+        records = [LayerStep(gap_num=num, gap_den=den) for num, den in ((1.5e-16, 0.0), (1.5e-16, 0.0), (3.0, 3.0))]
+        assert StepMetrics.of(7, 0.5, records).grad_gap_l2 == 1.0
+        assert math.sqrt(math.fsum(r.gap_num for r in records)) / math.sqrt(3.0) == 1.0000000000000002
+        assert StepMetrics.of(7, 0.5, records[::-1]).grad_gap_l2 == 1.0000000000000002
+
+    def test_totals_over_the_layers(self):
+        records = [LayerStep(mask_flip_count=3, eligible_blocks=1, total_blocks=4),
+                   LayerStep(mask_flip_count=2, eligible_blocks=2, total_blocks=4, gap_num=1.0, gap_den=4.0)]
+        assert StepMetrics.of(2, 0.25, records) == StepMetrics(2, 0.25, 0.5, 3 / 8, 5)
+        no_blocks = [LayerStep(mask_flip_count=1), LayerStep()]
+        assert StepMetrics.of(1, 0.5, no_blocks) == StepMetrics(1, 0.5, 0.0, 1.0, 1)
+        assert no_blocks[0].eligible_block_ratio == 1.0
 
 
 class TestSchedule:

@@ -110,7 +110,7 @@ def main(argv) -> int:
         print(USAGE, file=sys.stderr)
         return 2
     rounds = argv[2] if len(argv) == 3 else str(ROUNDS)
-    if not rounds.isdigit() or int(rounds) < 1:
+    if not rounds.isdecimal() or int(rounds) < 1:  # isdigit() takes '²', which int() refuses
         print(f"rounds must be an integer >= 1, got {rounds!r}", file=sys.stderr)
         return 2
     for src in argv[:2]:
