@@ -232,16 +232,17 @@ def _sampling_keys(stat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.where(stat > 0, keys, -1e12 + rng.random((blocks, m, cols)).swapaxes(0, 1))
 
 
-def _masked_magnitudes(a: np.ndarray, order: np.ndarray, fwd_slots: np.ndarray) -> np.ndarray:
-    """|a| where the slot-major forward bits are set, else 0, in one buffer.
+def _masked_magnitudes(a: np.ndarray, perm: np.ndarray, fwd_rows: np.ndarray) -> np.ndarray:
+    """|a| where the forward bits are set, else 0, slot-major (m, blocks, cols), in one buffer.
 
-    The rows of ``a`` are gathered once in ``order``, straight into the
-    slot-major shape of ``fwd_slots``; the absolute value and the bits are
-    applied in place, so no second full-size array is made.
+    ``fwd_rows`` are the forward bits in permuted row order, (blocks, m,
+    cols). The rows of ``a`` are gathered once straight into slot-major
+    order, and the absolute value and the bits are applied in place.
     """
-    keys = np.take(a, order, axis=0).reshape(fwd_slots.shape)
+    blocks, m, cols = fwd_rows.shape
+    keys = np.take(a, perm.reshape(blocks, m).T.ravel(), axis=0).reshape(m, blocks, cols)
     np.abs(keys, out=keys)
-    keys *= fwd_slots
+    keys *= fwd_rows.swapaxes(0, 1)
     return keys
 
 
@@ -266,9 +267,10 @@ def backward_mask(
     anything else raises ValueError.
 
     The statistic is built slot-major, (M, blocks, cols) with row i of every
-    block together: the rows are gathered once straight into that order,
-    so ``_top_n`` reads each block along axis 0 of one buffer, and only the
-    uint8 result is swapped back to permuted row order.
+    block together, so ``_top_n`` reads each block along axis 0 of one
+    buffer. The forward bits are gathered once, in permuted row order: the
+    keys are gated through a swapped view of them, and the uint8 result is
+    swapped back to permuted row order and multiplied by them.
     """
     w = matrix(w)
     if fwd.direction is not MaskDirection.FORWARD:
@@ -300,34 +302,27 @@ def _backward_mask(
 
     ``w`` must be a finite C-contiguous float64 matrix; ``fwd`` a forward
     mask of its shape and pattern; ``perm`` an int64 permutation of the
-    rows, never None; ``seed`` given on a seeded criterion. Rows that do not
-    split into blocks of M raise ValueError here, and the gradient
-    criterion's ``gradient`` is checked here too, since no caller checks it.
+    rows, never None; ``criterion`` a member; ``seed`` given on a seeded
+    criterion. Rows that do not split into blocks of M raise ValueError
+    here, and the gradient criterion's ``gradient`` is checked here too,
+    since no caller checks it.
 
-    A mask refresh has already gathered the permuted masked weights
-    ``(fwd.bits * w)[perm]`` and passes them, C-contiguous, as
-    ``masked_rows``. Then the weight keys are one absolute value of those
-    rows, swapped into slot-major order, and only the forward bits are
-    gathered, in permuted row order. Without them, as from
-    ``backward_mask``, the rows of ``w`` are gathered once straight into
-    slot-major order and the slot-major forward bits applied in place.
+    The forward bits are gathered once, in permuted row order. The weight
+    keys come from ``masked_rows`` when a mask refresh passes the permuted
+    masked weights ``(fwd.bits * w)[perm]`` it has gathered, C-contiguous:
+    one absolute value, swapped into slot-major order. Otherwise, as from
+    ``backward_mask``, ``_masked_magnitudes`` gathers the rows of ``w``.
     Either way the keys are the same numbers, and so are the bits.
     """
     n, m = pattern.n, pattern.m
     _check_shape(w.shape, m, MaskDirection.BACKWARD)
     rows, cols = w.shape
     blocks = rows // m
-    order = perm.reshape(blocks, m).T.ravel()
-    if masked_rows is None:
-        fwd_slots = fwd.bits[order].reshape(m, blocks, cols)
-        fwd_rows = fwd_slots.swapaxes(0, 1)
-    else:
-        fwd_rows = fwd.bits[perm].reshape(blocks, m, cols)
-        fwd_slots = fwd_rows.swapaxes(0, 1)
+    fwd_rows = fwd.bits[perm].reshape(blocks, m, cols)
 
     if criterion in (BinarizationCriterion.WEIGHT_MAGNITUDE, BinarizationCriterion.MULTINOMIAL_SAMPLING):
         if masked_rows is None:
-            keys = _masked_magnitudes(w, order, fwd_slots)
+            keys = _masked_magnitudes(w, perm, fwd_rows)
         else:
             keys = np.abs(masked_rows.reshape(blocks, m, cols).swapaxes(0, 1), order="C")
         if criterion is BinarizationCriterion.MULTINOMIAL_SAMPLING:
@@ -338,11 +333,9 @@ def _backward_mask(
         gradient = matrix(gradient)
         if gradient.shape != w.shape:
             raise ValueError(f"gradient shape {gradient.shape} does not match matrix {w.shape}")
-        keys = _masked_magnitudes(gradient, order, fwd_slots)
-    elif criterion is BinarizationCriterion.RANDOM:
+        keys = _masked_magnitudes(gradient, perm, fwd_rows)
+    else:  # random
         keys = np.random.default_rng(seed).random((blocks, m, cols)).swapaxes(0, 1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown criterion {criterion!r}")
 
     bits = np.multiply(_top_n(keys, n).swapaxes(0, 1), fwd_rows, order="C")
     return _built_mask(MaskDirection.BACKWARD, bits.reshape(rows, cols), pattern)

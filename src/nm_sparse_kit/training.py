@@ -93,7 +93,9 @@ def _eligible_ratio(eligible: int, total: int) -> float:
 @dataclass
 class LayerStep:
     """One layer's record of one step: ``refresh_masks`` fills it, and on Bi-Mask ``train()``
-    sets the squared error (``gap_num``) and squared exact norm (``gap_den``) of its input gradient."""
+    sets the squared error (``gap_num``) and squared exact norm (``gap_den``) of its input gradient.
+    ``mask_flip_count`` compares the stored bits, a backward mask's in permuted row order,
+    so after a search that changes the permutation it also counts the rows that moved."""
 
     mask_flip_count: int = 0
     eligible_blocks: int = 0
@@ -168,24 +170,28 @@ class SparseLinearLayer:
     that each refresh builds once. Only a refresh replaces ``fwd_mask``
     and ``bwd_mask``, and their bits are read-only. ``w`` and ``perm`` stay
     assignable; either assignment drops the backward operand, and a backward
-    product raises ``StaleMaskError`` until a refresh rebuilds it.
+    product raises ``StaleMaskError`` until a refresh rebuilds it. After
+    ``layer.perm = ...``, ``bwd_mask`` stays indexed by the permutation it
+    was built with until the next refresh.
 
     The layer checks its data once, where it enters, and its refresh runs
     the mask kernels without checking it again:
     - assigning ``w`` checks the weights (``matrix()``, then the layer's
       shape), keeps a read-only float64 copy and drops the masked weights,
       which are built at most once per refresh and shared by every product;
-    - assigning ``perm`` checks the permutation and keeps a read-only int64
-      copy.
+    - assigning ``perm`` checks a caller's permutation and keeps a read-only
+      int64 copy.
     ``train()`` installs each SGD update through a private hand-off that
-    checks only finiteness and keeps the step's fresh array without a copy;
-    the setter keeps every check and its copy, and both share one install
-    step. Block geometry is each kernel's own check, so a refresh, the first
-    one in the constructor included, raises ValueError when the shape does
-    not split into the blocks of the current ``strategy`` and ``pattern``.
-    A refresh commits its masks (and a searched permutation) only after
-    every kernel has succeeded, so one that raises leaves the layer as it
-    was, and it clears the mask slots its strategy does not build.
+    checks only finiteness and keeps the step's fresh array without a copy,
+    and the layer installs the permutations it makes itself (the identity,
+    then a search's choice) read-only the same way; the setters keep every
+    check and their copy for a caller's arrays. Block geometry is each
+    kernel's own check, so a refresh, the first one in the constructor
+    included, raises ValueError when the shape does not split into the
+    blocks of the current ``strategy`` and ``pattern``. A refresh commits
+    its masks and permutation only after every kernel has succeeded, so one
+    that raises leaves the layer as it was, and it clears the mask slots its
+    strategy does not build.
     ``prev_weight_grad`` is a plain attribute; the gradient criterion's
     kernel checks it on each refresh that ranks it.
     """
@@ -195,7 +201,7 @@ class SparseLinearLayer:
         self.pattern = pattern
         self.strategy = Strategy(strategy)
         self.salt = salt
-        self.perm = identity_permutation(self.w.shape[0])
+        self._perm = _read_only(identity_permutation(self.w.shape[0]))
         self.prev_weight_grad: np.ndarray | None = None
         self._fwd_mask: Mask | None = None
         self._bwd_mask: Mask | None = None
@@ -319,16 +325,17 @@ def _build_masks(
     """The strategy's masks from the layer's current weights, and the layer's step record.
 
     On bi-mask, a given ``k`` first re-searches the row permutation (seeded
-    from ``entropy``), and the backward mask is built from the incumbent one;
-    its gradient criterion falls back to weight magnitude until the layer has
-    a weight gradient. The permuted rows of the masked weights are gathered
-    once: the backward mask builds its keys from them (``masked_rows``), its
-    eligible blocks are counted on them, and then its bits are multiplied
-    into them in place as the backward operand. Everything is built into
-    locals and committed only after every kernel and the search have
-    succeeded; the slots the strategy does not build become None, and flips
-    count only between masks that exist before and after. Blocks are counted
-    on Bi-Mask only, and the record's gap terms stay 0.0.
+    from ``entropy``), and the backward mask is built from the incumbent,
+    which the commit installs read-only, uncopied; its gradient criterion
+    falls back to weight magnitude until the layer has a weight gradient.
+    The permuted rows of the masked weights are gathered once: the backward
+    mask builds its keys from them (``masked_rows``), its eligible blocks
+    are counted on them, and then its bits are multiplied into them in place
+    as the backward operand. Everything is built into locals and committed
+    only after every kernel and the search have succeeded; the slots the
+    strategy does not build become None, and flips count only between masks
+    that exist before and after. Blocks are counted on Bi-Mask only, and the
+    record's gap terms stay 0.0.
     """
     fwd = bwd = masked = operand = None
     perm = layer.perm
@@ -361,14 +368,12 @@ def _build_masks(
         record.eligible_blocks, record.total_blocks = count_eligible_blocks(operand, layer.pattern)
         operand = _read_only(np.multiply(operand, bwd.bits, out=operand))  # fresh rows: bits * rows in place
 
-    if perm is not layer.perm:
-        layer.perm = perm  # drops the old operand before the new one is committed
     for old, new in ((layer.fwd_mask, fwd), (layer.bwd_mask, bwd)):
         if new is not None:
             _read_only(new.bits)
             if old is not None:
                 record.mask_flip_count += int(np.count_nonzero(new.bits != old.bits))
-    layer._fwd_mask, layer._bwd_mask = fwd, bwd
+    layer._perm, layer._fwd_mask, layer._bwd_mask = _read_only(perm), fwd, bwd
     layer._masked, layer._bwd_weights = masked, operand
     return record
 

@@ -101,6 +101,14 @@ class TestDiversityCommand:
                      "--tile-rows", "1"]) == 0
         assert capsys.readouterr().out.strip() == "6"
 
+    def test_vanilla_count_defaults_to_one_tile_row(self, capsys):
+        assert main(["diversity", "--pattern", "2:4"]) == 0
+        assert capsys.readouterr().out.strip() == "6"
+
+    def test_neither_pattern_nor_table_exit_1(self, capsys):
+        assert main(["diversity"]) == 1
+        assert capsys.readouterr().err == "usage error: diversity needs --pattern (or --table)\n"
+
     def test_transposable_count(self, capsys):
         assert main(["diversity", "--pattern", "2:4", "--family", "transposable"]) == 0
         assert capsys.readouterr().out.strip() == "90"

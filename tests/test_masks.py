@@ -1434,6 +1434,9 @@ class TestMaskConstruction:
             (MaskDirection.BACKWARD, (6, 4), "needs backward mask rows divisible by 4, got 6"),
             (MaskDirection.TRANSPOSABLE, (4, 6), "needs transposable mask cols divisible by 4, got 6"),
             (MaskDirection.TRANSPOSABLE, (6, 4), "needs transposable mask rows divisible by 4, got 6"),
+            (MaskDirection.FORWARD, (4,), "mask bits must form a non-empty 2-D matrix, got shape (4,)"),
+            (MaskDirection.FORWARD, (0, 4), "mask bits must form a non-empty 2-D matrix, got shape (0, 4)"),
+            (MaskDirection.BACKWARD, (4, 0), "mask bits must form a non-empty 2-D matrix, got shape (4, 0)"),
         ],
     )
     def test_rejects_bad_shape_for_direction(self, direction, shape, message):
@@ -1616,6 +1619,12 @@ class TestKeptMagnitudes:
         with pytest.raises(ValueError, match="non-finite"):
             mask.apply(w)
 
+    def test_apply_rejects_a_matrix_of_another_shape(self):
+        mask = forward_mask(np.ones((4, 4)), P24)
+        with pytest.raises(ValueError) as err:
+            mask.apply(np.ones((4, 8)))
+        assert str(err.value) == "mask shape (4, 4) does not match matrix (4, 8)"
+
 
 class TestMaskSerialization:
     def test_round_trip(self, tmp_path):
@@ -1656,6 +1665,8 @@ class TestMaskSerialization:
             "forward 2 4\n1 4\n1 1 0\n",  # short row
             "forward 2 4\n1 4\n1 2 0 0\n",  # an entry that is not 0 or 1
             "forward 2 4\n",  # no matrix block
+            "",  # no header either
+            "\n  \n",  # blank lines only
         ],
     )
     def test_parse_rejects_malformed_matrix_block(self, text):

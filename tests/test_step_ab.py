@@ -1,13 +1,16 @@
-"""Smoke test of ``tools/step_ab.py`` on a tiny config."""
+"""Tests of ``tools/step_ab.py``: a smoke run on a tiny config, its argument
+checks, and its desk configs against the benchmark's ``train_bimask``."""
 
 import importlib.util
 import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +20,41 @@ def step_ab():
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling as ``harness``, as run.py leaves it on the path
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_desk_configs_are_the_benchmarks(step_ab, workloads, tmp_path, monkeypatch):
+    # the tool restates train_bimask's configs (its own training seeds aside);
+    # what it hands train() must be what the benchmark trains
+    bench = workloads.make("train_bimask", 1, False, str(tmp_path)).configs
+    assert [desk.pattern for desk in step_ab.DESK] == [str(cfg.pattern) for cfg in bench]
+    kit = step_ab.load_kit(ROOT / "src", "nm_sparse_kit_desk")
+    calls = []
+    monkeypatch.setattr(kit.training, "train", lambda *args: calls.append(args) or (args[0], []))
+    for desk, cfg in zip(step_ab.DESK, bench):
+        step_ab.timed_steps(kit, desk)
+        layers, data, config = calls.pop()
+        # the tool's package is a copy, so its enums and patterns compare by value
+        kinds = {(layer.strategy.value, str(layer.pattern)) for layer in layers}
+        assert kinds == {(cfg.strategy.value, str(cfg.pattern))}
+        assert [layer.w.shape for layer in layers] == [(cfg.hidden_dims[0], cfg.dim), (cfg.classes, cfg.hidden_dims[0])]
+        blobs = kit.generate_synthetic(cfg.classes, cfg.dim, cfg.per_class, cfg.spread, desk.seed)
+        assert np.array_equal(data.x_train, blobs.x_train) and np.array_equal(data.y_train, blobs.y_train)
+        bench_train = (cfg.train.epochs, cfg.train.batch_size, cfg.train.delta_t, cfg.train.k)
+        assert (config.epochs, config.batch_size, config.delta_t, config.k) == bench_train
 
 
 def test_one_round_times_both_checkouts(step_ab):

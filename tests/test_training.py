@@ -79,6 +79,11 @@ class TestLayerConstruction:
         with pytest.raises(ValueError, match=r"layer dimensions must be at least 1, got \["):
             init_layers(dims, P24, Strategy.DENSE, seed=0)
 
+    @pytest.mark.parametrize("dims", [[32], []], ids=str)
+    def test_init_layers_needs_an_input_and_an_output_dimension(self, dims):
+        with pytest.raises(ValueError, match="^need at least an input and an output dimension$"):
+            init_layers(dims, P24, Strategy.DENSE, seed=0)
+
     @pytest.mark.parametrize(
         "strategy, shape, message",
         [
@@ -189,6 +194,20 @@ class TestLayerConstruction:
             layer.perm[0] = 1
         source[:] = 0
         assert np.array_equal(layer.perm, np.arange(8)[::-1])
+
+    def test_the_layers_own_permutations_are_read_only_int64(self):
+        # the identity at construction and a search's choice skip the setter,
+        # so the layer makes them read-only itself
+        layer = SparseLinearLayer(np.random.default_rng(4).normal(size=(8, 8)), P24, Strategy.BI_MASK)
+        config = TrainConfig(epochs=1, batch_size=1, delta_t=2, k=8, seed=0)
+        for iteration in (None, 2):
+            if iteration is not None:
+                assert refresh_masks(layer, iteration, config).searched
+            assert layer.perm.dtype == np.int64 and not layer.perm.flags.writeable
+            kept = layer.perm.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                layer.perm[0] = kept[1]
+            assert np.array_equal(layer.perm, kept)
 
     def test_any_perm_assignment_leaves_the_backward_mask_stale(self):
         # any assignment drops the backward operand, so equal values count as a change
@@ -320,6 +339,11 @@ class TestBackwardExact:
         masked = forward_mask(w, P24).bits * w
         assert np.allclose(backward_exact(g, layer), masked.T @ g, rtol=0, atol=0)
 
+    def test_shape_mismatch(self):
+        layer = SparseLinearLayer(np.zeros((4, 4)), P24, Strategy.VANILLA)
+        with pytest.raises(ValueError, match="^layer emits 4-dim outputs, got gradient 5$"):
+            backward_exact(np.zeros((5, 2)), layer)
+
 
 class TestBackwardBimask:
     def make_layer(self, rng, rows=8, cols=8):
@@ -328,6 +352,11 @@ class TestBackwardBimask:
     def test_zero_gradient(self):
         layer = self.make_layer(np.random.default_rng(6))
         assert np.array_equal(backward_bimask(np.zeros((8, 2)), layer), np.zeros((8, 2)))
+
+    def test_shape_mismatch(self):
+        layer = self.make_layer(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="^layer emits 8-dim outputs, got gradient 4$"):
+            backward_bimask(np.zeros((4, 2)), layer)
 
     def test_eligible_everywhere_equals_exact(self):
         rng = np.random.default_rng(7)
@@ -442,6 +471,20 @@ class TestWeightGradient:
                     down[i, j] -= step
                     fd[i, j] = (loss_of(up) - loss_of(down)) / (2 * step)
             assert np.max(np.abs(fd - got)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-12)
+
+    @pytest.mark.parametrize(
+        "g_shape, x_shape, message",
+        [
+            ((5, 3), (4, 3), r"^gradient/input shapes \(5, 3\)/\(4, 3\) do not fit layer \(4, 4\)$"),
+            ((4, 3), (5, 3), r"^gradient/input shapes \(4, 3\)/\(5, 3\) do not fit layer \(4, 4\)$"),
+            ((4, 3), (4, 2), "^batch mismatch: gradient has 3 columns, input 2$"),
+        ],
+        ids=["outputs", "inputs", "batch"],
+    )
+    def test_shape_mismatch(self, g_shape, x_shape, message):
+        layer = SparseLinearLayer(np.zeros((4, 4)), P24, Strategy.VANILLA)
+        with pytest.raises(ValueError, match=message):
+            weight_gradient(np.zeros(g_shape), np.zeros(x_shape), layer)
 
     def test_gradient_is_dense_despite_mask(self):
         rng = np.random.default_rng(11)
@@ -832,6 +875,10 @@ class TestSchedule:
     def test_no_warmup(self):
         assert lr_at(50, 100, 0, 0.1) == pytest.approx(0.05)
 
+    def test_no_decay_span_holds_the_peak(self):
+        # warmup fills the whole schedule: past it there is no cosine to follow
+        assert lr_at(5, 3, 3, 0.1) == 0.1
+
 
 class TestSoftmaxCrossEntropy:
     def test_gradient_matches_finite_differences(self):
@@ -1042,6 +1089,8 @@ class TestTrainConfigValidation:
             {"epochs": 1, "weight_decay": float("nan")},
             {"epochs": 1, "weight_decay": float("inf")},
             {"epochs": 1, "seed": -1},
+            {"epochs": 1, "batch_size": 0},
+            {"epochs": 1, "warmup_epochs": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
