@@ -187,8 +187,8 @@ def forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
     Within each block of M contiguous columns of a row, the N largest |w|
     entries survive; magnitude ties keep the lowest column index (the place
     of a stable descending sort), so the result is deterministic and has
-    exactly N ones per block. ``_top_n`` takes them by one argmax per block
-    at 1:M and by pairwise ranks otherwise.
+    exactly N ones per block. They are taken by one argmax per block at 1:M
+    (``_top_one``) and by pairwise ranks otherwise (``_top_n_ranks``).
     """
     return _forward_mask(matrix(w), pattern)
 
@@ -198,18 +198,34 @@ def _forward_mask(w: np.ndarray, pattern: NmPattern) -> Mask:
 
     ``w`` must be a finite C-contiguous float64 matrix, as ``matrix()``
     leaves it; columns that do not split into blocks of M raise ValueError.
-    The bits are the transpose of ``_top_n``'s block-major result, made
-    C-ordered: one copy from the ranks, and none at 1:M, where the argmax
-    result has the transposed layout of the keys and its transpose is
-    already the rows.
+
+    At 1:M the keys are |w| of a transposed view of the rows, whose argmax
+    reads each block contiguously, and the result has the transposed layout
+    of the keys, so its transpose is already the rows. At N > 1 the ranks
+    want the keys block-major and C-ordered, (M, blocks). Every copy
+    between the two layouts runs in long inner loops: the keys are written
+    ``tensorops.SCRATCH_WORDS // M`` block-columns at a time, whose rows
+    stay in cache while each slot is read out, and the bits go back into
+    the row-major (blocks, M) result one slot at a time, M strided copies
+    of ``blocks`` entries each.
     """
     n, m = pattern.n, pattern.m
     _check_shape(w.shape, m, MaskDirection.FORWARD)
-    # |w| as (m, blocks): a block-major copy for the ranks, a transposed view
-    # of the rows for _top_one, whose argmax reads each block contiguously
-    keys = np.abs(w.reshape(-1, m).T, order="K" if n == 1 else "C")
-    bits = np.ascontiguousarray(_top_n(keys, n).T).reshape(w.shape)
-    return _built_mask(MaskDirection.FORWARD, bits, pattern)
+    rows = w.reshape(-1, m)
+    if n == 1:
+        bits = _top_one(np.abs(rows.T)).T
+    else:
+        blocks = len(rows)
+        keys = np.empty((m, blocks))
+        step = max(1, tensorops.SCRATCH_WORDS // m)
+        for j in range(0, blocks, step):
+            np.abs(rows[j : j + step].T, keys[:, j : j + step])
+        top = _top_n_ranks(keys, n)
+        bits = np.empty(w.shape, dtype=np.uint8)
+        slots = bits.reshape(blocks, m).T  # a view: slot s of every block
+        for s in range(m):
+            slots[s] = top[s]
+    return _built_mask(MaskDirection.FORWARD, bits.reshape(w.shape), pattern)
 
 
 def _sampling_keys(stat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -597,7 +613,9 @@ def _transposable_mask(
     member; rows, then columns, that do not split into blocks of M raise
     ValueError. The scan and the exact solver take the stack in chunks, the
     rounds whole (see ``tensorops.SCRATCH_WORDS``); every chunk's bits go
-    into one C-ordered tile buffer.
+    into one C-ordered tile buffer. That buffer is un-tiled into the matrix
+    through a view whose elements are whole M-byte tile rows, so the copy
+    moves a tile row per element rather than one bit.
     """
     n, m = pattern.n, pattern.m
     _check_shape(w.shape, m, MaskDirection.TRANSPOSABLE)
@@ -614,7 +632,8 @@ def _transposable_mask(
     tile_bits = np.empty(tiles.shape, dtype=np.uint8)
     for i in range(0, len(tiles), step):
         tile_bits[i : i + step] = kernel(tiles[i : i + step], n, m)
-    bits = tile_bits.reshape(*grid, m, m).swapaxes(1, 2).reshape(rows, cols)
+    tile_rows = tile_bits.view(np.dtype((np.void, m))).reshape(*grid, m).swapaxes(1, 2)
+    bits = np.ascontiguousarray(tile_rows).view(np.uint8).reshape(rows, cols)
     return _built_mask(MaskDirection.TRANSPOSABLE, bits, pattern)
 
 

@@ -65,8 +65,8 @@ def _count_eligible(masked_w: np.ndarray, pattern: NmPattern) -> tuple[int, int]
     rows, cols = masked_w.shape
     check_divisible(rows, m, "matrix rows")
     # the narrowest type that holds m sums the middle axis fastest
-    nonzeros = (masked_w != 0).reshape(rows // m, m, cols).sum(axis=1, dtype=np.min_scalar_type(m))
-    return int((nonzeros <= n).sum()), int(nonzeros.size)
+    nonzeros = np.add.reduce((masked_w != 0).reshape(rows // m, m, cols), axis=1, dtype=np.min_scalar_type(m))
+    return int(np.count_nonzero(nonzeros <= n)), int(nonzeros.size)
 
 
 def _pack_nonzeros(masked_w: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ Operations never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ def matrix(values) -> np.ndarray:
     Rejects complex, text (str or bytes) and datetime or timedelta input,
     also as the elements of an object array, anything that is not
     two-dimensional, has an empty axis, or contains NaN/Inf. Returns a
-    C-contiguous (row-major) array.
+    C-contiguous (row-major) array. Finiteness is checked by ``all_finite``,
+    in one read of the contiguous array; only a matrix it refuses is
+    scanned again, to count the non-finite entries for the message.
     """
     a = np.asarray(values)
     if a.dtype.kind == "O":  # re-infer from the elements, so the kind test sees complex or text
@@ -40,10 +43,34 @@ def matrix(values) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
-    if not np.isfinite(a).all():
+    a = np.ascontiguousarray(a)
+    if not _all_finite_quietly(a):
         bad = int(np.count_nonzero(~np.isfinite(a)))
         raise ValueError(f"matrix contains {bad} non-finite entries (NaN/Inf rejected)")
-    return np.ascontiguousarray(a)
+    return a
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a C-contiguous float64 array is finite.
+
+    The dot product of the entries with themselves reads the array once and
+    makes no temporary. A NaN or an infinity makes it NaN or +inf, so a
+    finite dot accepts the array. It can also overflow to +inf with every
+    entry finite (one |x| above 1.4e154 is enough), so only when it is not
+    finite is every entry tested with ``np.isfinite``. The squares overflow
+    there and underflow below 1.5e-154, so call it where ``np.errstate``
+    ignores both, as ``matrix()`` and ``train()`` do. Setting that up on
+    every call would cost a small matrix more than the check saves.
+    """
+    flat = a.reshape(-1)
+    return math.isfinite(np.dot(flat, flat)) or bool(np.isfinite(flat).all())
+
+
+# as a decorator, errstate builds no context manager per call
+@np.errstate(over="ignore", under="ignore")
+def _all_finite_quietly(a: np.ndarray) -> bool:
+    """``all_finite`` with the overflow and underflow it may raise ignored."""
+    return all_finite(a)
 
 
 def check_divisible(dim: int, m: int, what: str) -> None:

@@ -11,6 +11,7 @@ gradient is approximated by the backward mask.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,7 +27,7 @@ from .masks import _forward_mask as forward_mask
 from .masks import _transposable_mask as transposable_mask
 from .permute import _count_eligible as count_eligible_blocks
 from .permute import check_permutation, identity_permutation, search_permutation
-from .tensorops import NmPattern, matrix
+from .tensorops import NmPattern, all_finite, matrix
 
 
 class Strategy(Enum):
@@ -65,6 +66,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the counts take any integer type (numpy's too) and keep it as a plain
+        # int; a float would truncate or fail deep in train(), and a bool is no count
+        for name in ("epochs", "batch_size", "delta_t", "k", "warmup_epochs", "seed"):
+            value = getattr(self, name)
+            not_integer = ValueError(f"{name} must be an integer, got {value!r}")
+            if isinstance(value, bool):
+                raise not_integer
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise not_integer from None
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -229,8 +241,10 @@ class SparseLinearLayer:
         ``new`` is a fresh float64 array of the layer's shape, made from the
         checked weights, so finiteness is the one check it can fail; then it
         raises ``DivergenceError(iteration)`` and the layer keeps its weights.
+        ``train()`` calls it inside an ``np.errstate`` that ignores overflow
+        and underflow, which ``all_finite`` needs.
         """
-        if not np.isfinite(new).all():
+        if not all_finite(new):
             raise DivergenceError(iteration)
         self._install(new)
 
@@ -503,8 +517,9 @@ def train(
 
             records = [refresh_masks(layer, t, config, criterion) for layer in layers]
             lr = lr_at(t, total_iterations, warmup_iterations, config.peak_lr)
-            # overflow here is the divergence guard's job, not a warning's
-            with np.errstate(over="ignore", invalid="ignore"):
+            # overflow here is the divergence guard's job, not a warning's, and
+            # the guard's all_finite squares the new weights, which may underflow
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 inputs = _layer_inputs(layers, x0)
                 loss, g = softmax_cross_entropy(sparse_forward(inputs[-1], layers[-1]), y)
                 if not math.isfinite(loss):

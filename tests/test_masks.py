@@ -1292,6 +1292,62 @@ class TestScratchBudget:
         assert self.sizes(monkeypatch) == ([3, 3, 1], [3, 3, 1], [6, 6, 2])
 
 
+def layout_matrix(rng, rows, cols):
+    """Random weights with rounded ties, zeros and +-1e300 entries, in blocks of every kind."""
+    w = rng.normal(size=(rows, cols))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    ties = rng.random(w.shape) < 0.3
+    w[ties] = np.round(w[ties])
+    huge = rng.random(w.shape) < 0.1
+    w[huge] = rng.choice((-1e300, 1e300), size=int(huge.sum()))
+    return w
+
+
+# 1:M too, whose argmax result is already in row order
+FORWARD_LAYOUT_PATTERNS = [NmPattern(n, m) for m in range(2, 17) for n in range(1, m + 1)]
+
+
+class TestCopyLayouts:
+    """The layout copies of the mask kernels: ``_forward_mask`` writes its keys
+    ``SCRATCH_WORDS // m`` block-columns at a time and its bits back one slot at a
+    time, and ``_transposable_mask`` un-tiles whole tile rows."""
+
+    @pytest.mark.parametrize("pattern", FORWARD_LAYOUT_PATTERNS, ids=str)
+    def test_forward_keys_in_several_blocks_the_last_ragged(self, monkeypatch, pattern):
+        m = pattern.m
+        rng = np.random.default_rng(1300 + 17 * m + pattern.n)
+        w = layout_matrix(rng, 5, 7 * m)  # 35 blocks: eight chunks of 4 and one of 3
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", 4 * m + m - 1)
+        bits = forward_mask(w, pattern).bits
+        assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+        assert np.array_equal(bits, forward_sort_oracle(w, pattern))
+
+    @pytest.mark.parametrize("pattern", [P24, NmPattern(2, 8), NmPattern(15, 16)], ids=str)
+    def test_forward_keys_one_block_per_chunk_below_one_block_of_words(self, monkeypatch, pattern):
+        w = layout_matrix(np.random.default_rng(1400 + pattern.m), 3, 2 * pattern.m)
+        monkeypatch.setattr(tensorops, "SCRATCH_WORDS", pattern.m - 1)
+        assert np.array_equal(forward_mask(w, pattern).bits, forward_sort_oracle(w, pattern))
+
+    @pytest.mark.parametrize("method", list(TransposableMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (2, 3)], ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize(
+        "pattern", [NmPattern(1, 3), NmPattern(2, 5), NmPattern(3, 7), P24, NmPattern(2, 8)], ids=str
+    )
+    def test_untiling_puts_every_tile_in_place(self, method, grid, pattern):
+        n, m = pattern.n, pattern.m
+        rng = np.random.default_rng(1500 + 10 * m + n + grid[0])
+        w = layout_matrix(rng, grid[0] * m, grid[1] * m)
+        bits = transposable_mask(w, pattern, method).bits
+        assert bits.dtype == np.uint8 and bits.flags.c_contiguous and bits.shape == w.shape
+        solve = greedy_tile_oracle if method is TransposableMethod.TWO_APPROX else (
+            lambda tile, n: _exact_tiles(tile[None], n, m)[0]
+        )
+        for i in range(0, w.shape[0], m):
+            for j in range(0, w.shape[1], m):
+                tile = np.abs(w[i : i + m, j : j + m])
+                assert np.array_equal(bits[i : i + m, j : j + m], solve(tile, n)), (i, j)
+
+
 def transposable_count_enumerated(n, m):
     """m x m masks with exactly n ones per row and at most n per column, by enumeration."""
     count = 0

@@ -73,6 +73,14 @@ def test_one_round_times_both_checkouts(step_ab):
     assert sys.modules["nm_sparse_kit_a"].training is not sys.modules["nm_sparse_kit_b"].training
 
 
+def test_a_second_load_under_one_name_is_a_whole_package(step_ab):
+    first = step_ab.load_kit(ROOT / "src", "nm_sparse_kit_twice")
+    second = step_ab.load_kit(ROOT / "src", "nm_sparse_kit_twice")
+    assert second is not first
+    assert second.training is sys.modules["nm_sparse_kit_twice.training"] is not first.training
+    assert second.training.NmPattern is second.NmPattern
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

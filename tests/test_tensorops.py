@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from nm_sparse_kit.tensorops import (
     NmPattern,
+    all_finite,
     check_divisible,
     format_matrix,
     load_matrix,
@@ -55,6 +58,77 @@ class TestMatrixConstructor:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             matrix([[1.0, bad]])
+
+
+def laid_out(a, layout):
+    """A copy of ``a``: C-ordered, a transposed view, or a strided view of a larger buffer."""
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        base = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        base[::2, ::3] = a
+        return base[::2, ::3]
+    return a.copy()
+
+
+class TestFiniteness:
+    """``matrix()`` accepts on one finite sum of squares and rescans only when it is not finite."""
+
+    @pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+    @pytest.mark.parametrize("where", [0, 29, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_one_non_finite_entry_anywhere_is_rejected(self, bad, where, layout):
+        a = laid_out(np.random.default_rng(40).normal(size=(6, 10)), layout)
+        a[np.unravel_index(where % a.size, a.shape)] = bad  # first, middle or last in row order
+        with pytest.raises(ValueError, match="contains 1 non-finite entries"):
+            matrix(a)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="contains 1 non-finite entries"):
+            matrix(a)
+
+    def test_the_message_counts_every_non_finite_entry(self):
+        a = np.full((4, 5), 1e300)  # its squares overflow too
+        a[0, 0], a[2, 3], a[3, 4] = np.nan, np.inf, -np.inf
+        with pytest.raises(ValueError, match="contains 3 non-finite entries"):
+            matrix(a)
+
+    @pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+    @pytest.mark.parametrize(
+        "values",
+        [[[1e300, -1e300], [1e300, 1.0]], [[5e-324, -5e-324], [0.0, 1.0]], [[1.7e308, 5e-324], [-1.7e308, 0.0]]],
+        ids=["overflowing-squares", "subnormal", "both-ends"],
+    )
+    def test_extreme_finite_values_pass_without_a_warning(self, values, layout):
+        a = laid_out(np.array(values), layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):  # a caller's strict settings do not reach the overflow
+                got = matrix(a)
+        assert got.flags.c_contiguous and np.array_equal(got, values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[2**62, -(2**62)], [3, 4]], dtype=np.int64),
+            np.array([[True, False], [False, True]]),
+            np.array([[1e300, 2], [np.float32(3), True]], dtype=object),
+        ],
+        ids=["int64", "bool", "object"],
+    )
+    def test_integer_bool_and_object_input(self, values):
+        got = matrix(values)
+        assert got.dtype == np.float64 and np.array_equal(got, values.astype(np.float64))
+
+    def test_object_input_with_an_infinity_is_rejected(self):
+        with pytest.raises(ValueError, match="contains 1 non-finite entries"):
+            matrix(np.array([[1, 2.5], [np.inf, 3]], dtype=object))
+
+    def test_all_finite_rescans_when_the_squares_overflow(self):
+        big = np.full((3, 3), 1e200)
+        with np.errstate(over="ignore", under="ignore"):  # its callers' settings
+            assert all_finite(big)  # the dot overflows; the entries are finite
+            big[1, 1] = np.nan
+            assert not all_finite(big)
+            assert all_finite(np.zeros((1, 1))) and not all_finite(np.array([[np.inf]]))
 
 
 class TestNmPattern:

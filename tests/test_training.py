@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1074,6 +1075,51 @@ class TestTrain:
         assert evaluate_accuracy(layers, data.x_train, data.y_train) >= 0.95
 
 
+class TestTakeUpdate:
+    """``train()``'s weight hand-off checks finiteness alone, in one read of the fresh array."""
+
+    @staticmethod
+    def layer():
+        return SparseLinearLayer(np.random.default_rng(60).normal(size=(8, 12)), P24, Strategy.BI_MASK)
+
+    @pytest.mark.parametrize("where", [0, 47, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_entry_raises_and_the_layer_keeps_its_weights(self, bad, where):
+        layer = self.layer()
+        kept = layer.w
+        new = layer.w + 1.0
+        new.flat[where] = bad
+        with pytest.raises(DivergenceError) as err:
+            layer._take_update(new, 17)
+        assert err.value.iteration == 17
+        assert layer.w is kept
+
+    @pytest.mark.parametrize("values", [1e300, -1e300, 5e-324], ids=["1e300", "-1e300", "subnormal"])
+    def test_extreme_finite_updates_are_taken_without_a_warning(self, values):
+        layer = self.layer()
+        new = np.full(layer.w.shape, values)
+        new[0, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", under="ignore"):  # as train() calls it
+                layer._take_update(new, 3)
+        assert layer.w is new and not layer.w.flags.writeable
+
+    def test_train_hands_updates_over_where_squares_may_leave_the_range(self, monkeypatch):
+        settings = []
+        take = SparseLinearLayer._take_update
+
+        def recording(layer, new, iteration):
+            settings.append(np.geterr())
+            return take(layer, new, iteration)
+
+        monkeypatch.setattr(SparseLinearLayer, "_take_update", recording)
+        cfg = TrainConfig(epochs=1, batch_size=16, delta_t=10**9, warmup_epochs=0, seed=0)
+        with np.errstate(all="raise"):
+            train(init_layers([8, 8, 4], P24, Strategy.BI_MASK, seed=0), blob_data(np.random.default_rng(28)), cfg)
+        assert settings and all(s["over"] == s["under"] == "ignore" for s in settings)
+
+
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -1096,3 +1142,33 @@ class TestTrainConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta_t", 2.5),  # would search at iterations 5, 10 and 15
+            ("k", True),  # would run as k = 1
+            ("warmup_epochs", 0.5),
+            ("epochs", True),
+            ("k", 3.5),  # would raise TypeError at the first search
+            ("epochs", 1.5),
+            ("batch_size", 8.0),
+            ("seed", 1.5),
+            ("seed", np.True_),
+            ("k", "3"),
+            ("delta_t", np.float64(2.0)),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"epochs": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            TrainConfig(**kwargs)
+
+    def test_numpy_integer_counts_become_plain_ints(self):
+        cfg = TrainConfig(
+            epochs=np.int64(2), batch_size=np.uint16(8), delta_t=np.int32(3), k=np.uint8(4),
+            warmup_epochs=np.int8(0), seed=np.int64(7),
+        )
+        counts = (cfg.epochs, cfg.batch_size, cfg.delta_t, cfg.k, cfg.warmup_epochs, cfg.seed)
+        assert counts == (2, 8, 3, 4, 0, 7)
+        assert all(type(c) is int for c in counts)

@@ -51,7 +51,11 @@ must print the same lines on both. Each line is ``sha256  name``:
   2, of two fixed 48 x 48 matrices at the ends of the float range: one of
   |w| in [0.5, 1] x 1.7e308 with ~20% zeros, whose column-block totals
   overflow, and one mixing 1e300, 1e-30, 1e-320 and 0, where each entry's
-  share of its block total is either normal or underflows to exactly 0.
+  share of its block total is either normal or underflows to exactly 0;
+* forward masks of the fixed random and tie-heavy 512 x 512 matrices at
+  2:4, 2:8 and 4:8, whose keys span several of the forward kernel's
+  blocks (the 48 x 48 keys above fit one), and backward masks of them
+  under all four criteria (fixed permutation, gradient and seed).
 
 Every section after the trend criterion's is a fixed-matrix section: it
 calls no matmul, so its lines do not depend on the BLAS build, and
@@ -84,6 +88,7 @@ DIVERSITY_MAX_M = 12
 GRID_SHAPES = ((32, 96), (96, 32))
 GRID_PATTERNS = ("2:4", "2:8", "1:16")
 CHUNK_PATTERNS = ("1:4", "1:8", "2:8", "4:8")
+LARGE_TOP_N_PATTERNS = ("2:4", "2:8", "4:8")
 EXACT_CHUNK_PATTERNS = ("2:4", "1:16")
 SAMPLING_SEEDS = (0, 1, 2)
 NEAR_MAX = 1.7e308
@@ -217,6 +222,22 @@ def top_n_digests(kit, seed=1):
                 yield mask_digest(bwd), f"backward-{criterion.value}-{name}"
 
 
+def large_top_n_digests(kit, seed=8):
+    """Forward and backward masks of ``chunk_digests``' 512 x 512 matrices."""
+    w = np.random.default_rng(6).normal(size=(512, 512))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(512)
+    gradient = np.round(rng.normal(size=(512, 512)), 1)
+    for kind, matrix in (("random", w), ("ties", np.round(w, 1))):
+        for text in LARGE_TOP_N_PATTERNS:
+            pattern, name = kit.NmPattern.parse(text), f"512x512-{kind}-{text.replace(':', 'of')}"
+            fwd = kit.forward_mask(matrix, pattern)
+            yield mask_digest(fwd), f"forward-{name}"
+            for criterion in kit.BinarizationCriterion:
+                bwd = kit.backward_mask(matrix, fwd, perm, pattern, criterion, gradient=gradient, seed=seed)
+                yield mask_digest(bwd), f"backward-{criterion.value}-{name}"
+
+
 def search_digest(kit, matrix, text, k, seed):
     pattern = kit.NmPattern.parse(text)
     report = kit.search_permutation(kit.forward_mask(matrix, pattern).apply(matrix), pattern, k, seed=seed)
@@ -278,7 +299,7 @@ def fixed_matrix_digests(kit):
                            top_n_digests(kit), search_digests(kit), transposable_digests(kit, methods.EXACT),
                            diversity_digests(kit), grid_digests(kit),
                            chunk_digests(kit, methods.EXACT, (256, 512), EXACT_CHUNK_PATTERNS, seed=7),
-                           extreme_sampling_digests(kit))
+                           extreme_sampling_digests(kit), large_top_n_digests(kit))
 
 
 def main(argv) -> int:

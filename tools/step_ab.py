@@ -49,7 +49,13 @@ DESK = tuple(StepConfig(pattern, seed) for seed in (0, 1) for pattern in ("2:4",
 
 
 def load_kit(src: str | Path, name: str):
-    """``<src>/nm_sparse_kit`` imported as the package ``name``."""
+    """``<src>/nm_sparse_kit`` imported afresh as the package ``name``.
+
+    Modules left under ``name`` by an earlier load are dropped first: the
+    relative imports would find them and leave them unbound in the new package.
+    """
+    for loaded in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[loaded]
     root = Path(src) / "nm_sparse_kit"
     spec = importlib.util.spec_from_file_location(name, root / "__init__.py", submodule_search_locations=[str(root)])
     kit = importlib.util.module_from_spec(spec)
@@ -105,19 +111,27 @@ def compare(src_a, src_b, rounds: int = ROUNDS, configs=DESK, out=sys.stdout) ->
     return result
 
 
-def main(argv) -> int:
+def parse_args(argv, usage: str = USAGE, default_rounds: int = ROUNDS):
+    """``(src_a, src_b, rounds)`` of a command line, or None once the reason is printed."""
     if len(argv) not in (2, 3):
-        print(USAGE, file=sys.stderr)
-        return 2
-    rounds = argv[2] if len(argv) == 3 else str(ROUNDS)
+        print(usage, file=sys.stderr)
+        return None
+    rounds = argv[2] if len(argv) == 3 else str(default_rounds)
     if not rounds.isdecimal() or int(rounds) < 1:  # isdigit() takes '²', which int() refuses
         print(f"rounds must be an integer >= 1, got {rounds!r}", file=sys.stderr)
-        return 2
+        return None
     for src in argv[:2]:
         if not (Path(src) / "nm_sparse_kit" / "__init__.py").is_file():
             print(f"no nm_sparse_kit package under {src}", file=sys.stderr)
-            return 2
-    compare(argv[0], argv[1], int(rounds))
+            return None
+    return argv[0], argv[1], int(rounds)
+
+
+def main(argv) -> int:
+    args = parse_args(argv)
+    if args is None:
+        return 2
+    compare(*args)
     return 0
 
 
